@@ -16,7 +16,6 @@
 #include "support/metrics.hh"
 #include "support/profile.hh"
 #include "support/strfmt.hh"
-#include "support/trace.hh"
 
 namespace el::core
 {
@@ -33,17 +32,6 @@ double
 cycleTolerance(double total)
 {
     return 0.5 + 1e-9 * std::fabs(total);
-}
-
-/** The merged counter namespace, mirroring runReportJson(). */
-StatGroup
-mergedStats(Runtime &rt)
-{
-    StatGroup all = rt.translator().stats;
-    all.merge(rt.stats());
-    if (rt.options().persist)
-        all.merge(rt.options().persist->stats);
-    return all;
 }
 
 // ----- provenance legality ----------------------------------------------
@@ -129,13 +117,13 @@ void
 auditFlight(Runtime &rt, audit::Result &r)
 {
     const flight::FlightRecorder *fr = rt.flight();
-    if (!fr)
+    if (!fr || !fr->keepsTail())
         return;
     std::map<flight::Kind, uint64_t> counts;
     for (const flight::Event &e : fr->snapshot())
         ++counts[e.kind];
     const bool complete = fr->dropped() == 0;
-    StatGroup stats = mergedStats(rt);
+    StatGroup stats = runStats(rt);
 
     // Each pairing below records the flight event and bumps the
     // counter on the same code path, so with a complete flight the

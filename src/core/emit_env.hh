@@ -145,9 +145,6 @@ class EmitEnv
     void writeOperand(const ia32::Operand &op, int16_t val, unsigned size);
 
     // ----- flags ------------------------------------------------------
-    /** Flags this instruction must actually produce (liveness-masked). */
-    void setLiveMask(uint32_t mask) { live_mask_ = mask; }
-    uint32_t liveMask() const { return live_mask_; }
 
     /**
      * Record the flag outcome of an ALU op. Under the cold policy, live
@@ -172,10 +169,6 @@ class EmitEnv
 
     /** The current lazy recipe (captured into recovery maps). */
     FlagRecipe flagRecipe() const;
-
-    /** Declare flag homes current for @p mask without emitting code
-     *  (used by templates that wrote homes with predicated moves). */
-    void clearLazyDirty(uint32_t mask) { lazy_.dirty &= ~mask; }
 
     // ----- addresses & memory -----------------------------------------
     /** Effective address (32-bit wrapped), with CSE under the hot policy. */
@@ -221,7 +214,6 @@ class EmitEnv
     void fpInit();
     /** EMMS: statically mark every slot empty (TOS unchanged). */
     void fpEmms();
-    bool fpUsed() const { return fp_used_; }
     /** In-memory FP-stack mode (the FX!32 ablation). */
     bool fpMemoryMode() const { return !options.enable_fp_stack_spec; }
     int16_t fpMemLoadSt(uint8_t sti);
@@ -232,10 +224,6 @@ class EmitEnv
     /** Mark that this block executes MMX (or FP) instructions. */
     void touchMmx();
     void touchFp();
-    bool mmxUsed() const { return mmx_used_; }
-
-    /** GR home of MMX register i (domain handling is block-level). */
-    int16_t mmxGr(uint8_t i) { touchMmx(); return ipf::grForMmx(i); }
 
     /** Current representation of XMM register i (converts if needed). */
     rt::XmmRep xmmRep(uint8_t i);
@@ -243,8 +231,6 @@ class EmitEnv
     void xmmRequire(uint8_t i, rt::XmmRep rep);
     /** Declare that register i was fully rewritten in rep. */
     void xmmDefine(uint8_t i, rt::XmmRep rep);
-    bool xmmUsed() const { return xmm_used_mask_ != 0; }
-    uint8_t xmmUsedMask() const { return xmm_used_mask_; }
     uint32_t xmmEntryFormats() const { return xmm_entry_formats_; }
     uint32_t xmmExitFormats() const;
 
@@ -322,9 +308,6 @@ class EmitEnv
     uint32_t loads_emitted = 0;
     uint32_t stores_emitted = 0;
 
-    /** Current region counter (for the scheduler). */
-    int32_t currentRegion() const { return region_; }
-
     /** TOS delta accumulated so far (for recovery and the tail). */
     int8_t tosDelta() const;
     uint8_t tagSet() const { return tag_set_; }
@@ -333,17 +316,12 @@ class EmitEnv
     /** The IA-32 instruction currently being translated. */
     const ia32::Insn *cur_insn = nullptr;
 
-    /** Commit id currently tagged onto emitted ILs (hot, faulting). */
-    int32_t currentCommitId() const { return cur_commit_id_; }
-
   private:
     int16_t flagHomeFor(ia32::Flag flag) const;
     void emitStaticGuestFault(ia32::FaultKind kind);
     int16_t fpMemTos();
     int16_t fpMemSlotAddr(int16_t tos, uint8_t sti);
     void materializeOne(ia32::Flag flag);
-    int16_t predFromLazySub(ia32::Cond cond);
-    int16_t predTrue(int16_t p) { return p; }
 
     void emitMisalignCounter(int16_t p_mis, int16_t addr, unsigned size,
                              uint32_t access_idx);
@@ -378,7 +356,6 @@ class EmitEnv
     bool mmx_used_ = false;
 
     // XMM format tracking.
-    uint8_t xmm_used_mask_ = 0;
     rt::XmmRep xmm_rep_[8];
     uint32_t xmm_entry_formats_;
 

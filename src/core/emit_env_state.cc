@@ -342,7 +342,6 @@ EmitEnv::xmmRep(uint8_t i)
     uint8_t bit = static_cast<uint8_t>(1u << i);
     if (!(xmm_touched_ & bit)) {
         xmm_touched_ |= bit;
-        xmm_used_mask_ |= bit;
         if (options.enable_sse_format_spec) {
             guard.checks_xmm = true;
             guard.xmm_mask |= 0xfu << rt::formatShift(i);
@@ -406,7 +405,6 @@ EmitEnv::xmmDefine(uint8_t i, rt::XmmRep rep)
     i &= 7;
     uint8_t bit = static_cast<uint8_t>(1u << i);
     xmm_touched_ |= bit;      // full redefine: no entry guard needed
-    xmm_used_mask_ |= bit;
     xmm_rep_[i] = rep;
 }
 

@@ -17,11 +17,6 @@
 
 #include "support/faultinject.hh"
 
-namespace el::trace
-{
-class Tracer;
-} // namespace el::trace
-
 namespace el::prof
 {
 class Profiler;
@@ -122,9 +117,10 @@ struct Options
     FaultConfig fault;
 
     // ----- observability (off by default; zero-cost when off) -------
-    trace::Tracer *trace = nullptr; //!< Lifecycle event sink (not owned).
-                                    //!< Null = every trace site is one
-                                    //!< predictable branch.
+    bool trace = false;               //!< Capture the lifecycle event
+                                      //!< stream for Chrome trace-event
+                                      //!< export (Runtime::flight()->
+                                      //!< chromeJson()).
     bool collect_block_cycles = false; //!< Per-block cycle accounting in
                                        //!< the machine, for the run
                                        //!< report's per-block rows.
@@ -157,19 +153,16 @@ struct Options
 
     // ----- flight recorder (ON by default; zero simulated cycles) ---
     bool flight_recorder = true;      //!< Always-on black box: the
-                                      //!< runtime owns a FlightRecorder
-                                      //!< + ProvenanceLedger fed by the
-                                      //!< same hook sites as tracing.
-                                      //!< false = the recorder is never
-                                      //!< allocated and every hook is
-                                      //!< one null-check branch (the
+                                      //!< event stream's drop-oldest
+                                      //!< tail + its provenance fold.
+                                      //!< false = neither consumer runs
+                                      //!< and every emit is one table
+                                      //!< load and branch (the
                                       //!< "compiled-out" comparison
                                       //!< point; results are bit-exact
                                       //!< either way).
     uint32_t flight_ring_capacity = 1024; //!< Last-N events kept per
                                       //!< host thread (drop-oldest).
-    uint32_t provenance_events_per_eip = 32; //!< Lifecycle events kept
-                                      //!< per guest entry point.
     metrics::Registry *metrics = nullptr; //!< Telemetry snapshotter (not
                                       //!< owned). Null = off; attached,
                                       //!< the runtime registers its

@@ -3,12 +3,12 @@
 #include <fstream>
 #include <set>
 
+#include "core/report.hh"
 #include "core/runtime.hh"
 #include "persist/store.hh"
 #include "support/json.hh"
 #include "support/profile.hh"
 #include "support/sentinel.hh"
-#include "support/trace.hh"
 
 namespace el::core
 {
@@ -50,7 +50,8 @@ postmortemJson(Runtime &rt, const PostmortemInfo &info)
         w.kv("cycles", rt.machine().totalCycles());
 
     // ----- flight: the merged last-N event tail ---------------------
-    if (const flight::FlightRecorder *fr = rt.flight()) {
+    const flight::FlightRecorder *fr = rt.flight();
+    if (fr && fr->keepsTail()) {
         w.key("flight");
         w.beginObject();
         w.kv("ring_capacity",
@@ -63,9 +64,13 @@ postmortemJson(Runtime &rt, const PostmortemInfo &info)
             w.kv("kind", flight::kindName(e.kind));
             w.kv("lane", static_cast<uint64_t>(e.lane));
             w.kv("ts", e.ts);
-            w.kv("a", e.a);
-            w.kv("b", e.b);
-            w.kv("c", e.c);
+            // Words an emitter did not have print as -1.
+            auto word = [](int64_t v) {
+                return v == flight::none ? int64_t{-1} : v;
+            };
+            w.kv("a", word(e.a));
+            w.kv("b", word(e.b));
+            w.kv("c", word(e.c));
             w.endObject();
         }
         w.endArray();
@@ -148,30 +153,12 @@ postmortemJson(Runtime &rt, const PostmortemInfo &info)
     }
 
     // ----- stats: the same merged namespace as the run report -------
-    {
-        StatGroup all_stats;
-        if (alive)
-            all_stats = rt.translator().stats;
-        all_stats.merge(rt.stats());
-        if (rt.options().persist)
-            all_stats.merge(rt.options().persist->stats);
-        if (rt.options().trace)
-            all_stats.set(
-                "trace.dropped_events",
-                static_cast<double>(rt.options().trace->dropped()));
-        if (rt.options().profiler)
-            all_stats.set("profile.dropped_samples",
-                          static_cast<double>(
-                              rt.options().profiler->samplesDropped()));
-        if (rt.flight())
-            all_stats.set("flight.dropped_events",
-                          static_cast<double>(rt.flight()->dropped()));
-        w.key("stats");
-        w.beginObject();
-        for (const auto &[name, value] : all_stats.all())
-            w.kv(name, value);
-        w.endObject();
-    }
+    StatGroup stats = runStats(rt);
+    w.key("stats");
+    w.beginObject();
+    for (const auto &[name, value] : stats.all())
+        w.kv(name, value);
+    w.endObject();
 
     // ----- fault injection: seed + which sites actually fired -------
     if (const FaultInjector *fi = rt.faultInjector()) {

@@ -1,82 +1,114 @@
 #include "core/provenance.hh"
 
+#include "ipf/code_cache.hh"
+#include "support/sentinel.hh"
+
 namespace el::core
 {
 
+// Indexed by enumerator; the order must match provenance.hh.
 const char *
 provStateName(ProvState s)
 {
-    switch (s) {
-      case ProvState::Decoded:
-        return "decoded";
-      case ProvState::Cold:
-        return "cold";
-      case ProvState::HotQueued:
-        return "hot_queued";
-      case ProvState::Session:
-        return "session";
-      case ProvState::Published:
-        return "published";
-      case ProvState::Discarded:
-        return "discarded";
-      case ProvState::Persisted:
-        return "persisted";
-      case ProvState::Adopted:
-        return "adopted";
-      case ProvState::Suspect:
-        return "suspect";
-      case ProvState::Quarantined:
-        return "quarantined";
-      case ProvState::Retranslated:
-        return "retranslated";
-      case ProvState::Pinned:
-        return "pinned";
-    }
-    return "?";
+    static const char *const names[] = {
+        "decoded", "cold", "hot_queued", "session", "published",
+        "discarded", "persisted", "adopted", "suspect", "quarantined",
+        "retranslated", "pinned"};
+    return names[static_cast<size_t>(s)];
 }
 
 const char *
 provCauseName(ProvCause c)
 {
-    switch (c) {
-      case ProvCause::None:
-        return "none";
-      case ProvCause::Heat:
-        return "heat";
-      case ProvCause::SessionOk:
-        return "session_ok";
-      case ProvCause::SessionAbort:
-        return "session_abort";
-      case ProvCause::StaleGeneration:
-        return "stale_generation";
-      case ProvCause::SmcWrite:
-        return "smc_write";
-      case ProvCause::CacheFlush:
-        return "cache_flush";
-      case ProvCause::CachePressure:
-        return "cache_pressure";
-      case ProvCause::QuarantineBlocked:
-        return "quarantine_blocked";
-      case ProvCause::SentinelDivergence:
-        return "sentinel_divergence";
-      case ProvCause::FaultThreshold:
-        return "fault_threshold";
-      case ProvCause::GuardThreshold:
-        return "guard_threshold";
-      case ProvCause::StoreRecord:
-        return "store_record";
-      case ProvCause::StoreHit:
-        return "store_hit";
-      case ProvCause::SmcMismatch:
-        return "smc_mismatch";
-      case ProvCause::QuarantinePurge:
-        return "quarantine_purge";
-      case ProvCause::Cooldown:
-        return "cooldown";
-      case ProvCause::Misalign:
-        return "misalign";
+    static const char *const names[] = {
+        "none", "heat", "session_ok", "session_abort", "stale_generation",
+        "smc_write", "cache_flush", "cache_pressure", "quarantine_blocked",
+        "sentinel_divergence", "fault_threshold", "guard_threshold",
+        "store_record", "store_hit", "smc_mismatch", "quarantine_purge",
+        "cooldown", "misalign"};
+    return names[static_cast<size_t>(c)];
+}
+
+void
+ProvenanceLedger::note(int64_t eip, ProvState state, ProvCause cause,
+                       int64_t block_id, double ts)
+{
+    auto key = static_cast<uint32_t>(eip);
+    auto it = timelines_.find(key);
+    if (it == timelines_.end())
+        it = timelines_
+                 .emplace(key, BoundedRing<ProvEvent>(
+                                   events_per_eip, RingPolicy::DropOldest))
+                 .first;
+    uint32_t generation =
+        cache_ ? static_cast<uint32_t>(cache_->generation()) : 0;
+    it->second.push(ProvEvent{state, cause, static_cast<int32_t>(block_id),
+                              generation, ts});
+}
+
+void
+ProvenanceLedger::observe(const flight::Event &e)
+{
+    using flight::Kind;
+    auto cause = [](int64_t c) { return static_cast<ProvCause>(c); };
+    switch (e.kind) {
+      case Kind::ColdXlate:
+      case Kind::FaultStub:
+        note(e.a, ProvState::Decoded, ProvCause::None, e.b, e.ts);
+        note(e.a, ProvState::Cold, ProvCause::None, e.b, e.ts);
+        break;
+      case Kind::HotEnqueue:
+        note(e.a, ProvState::HotQueued, ProvCause::Heat, e.c, e.ts);
+        break;
+      case Kind::HotQueued:
+        note(e.a, ProvState::HotQueued, ProvCause::Heat, e.b, e.ts);
+        break;
+      case Kind::HotResult:
+        note(e.a, ProvState::Session,
+             e.c ? ProvCause::SessionOk : ProvCause::SessionAbort, e.b,
+             e.ts);
+        break;
+      case Kind::HotCommit:
+        // A stored artifact's commit ran no session (no seq).
+        if (e.c == flight::none)
+            note(e.a, ProvState::Adopted, ProvCause::StoreHit, e.b, e.ts);
+        else
+            note(e.a, ProvState::Published, ProvCause::SessionOk, e.b,
+                 e.ts);
+        break;
+      case Kind::HotDiscard:
+        note(e.a, ProvState::Discarded, cause(e.b), e.c, e.ts);
+        break;
+      case Kind::BlockDiscard:
+        note(e.a, ProvState::Discarded, cause(e.c), e.b, e.ts);
+        break;
+      case Kind::PersistReject:
+        note(e.a, ProvState::Discarded, cause(e.b), -1, e.ts);
+        break;
+      case Kind::Persisted:
+        note(e.a, ProvState::Persisted, ProvCause::StoreRecord, e.b, e.ts);
+        break;
+      case Kind::Quarantine:
+        note(e.a, ProvState::Quarantined, cause(e.c), e.b, e.ts);
+        break;
+      case Kind::SentinelShift: {
+        // The state-machine record; the quarantineBlock path notes the
+        // artifact-level conviction with its precise cause.
+        auto to = static_cast<sentinel::Health>(e.c);
+        if (e.d)
+            note(e.a, ProvState::Pinned, ProvCause::None, -1, e.ts);
+        else if (to == sentinel::Health::Quarantined)
+            note(e.a, ProvState::Quarantined, ProvCause::None, -1, e.ts);
+        else if (to == sentinel::Health::Retranslated)
+            note(e.a, ProvState::Retranslated, ProvCause::Cooldown, -1,
+                 e.ts);
+        else
+            note(e.a, ProvState::Suspect, ProvCause::None, -1, e.ts);
+        break;
+      }
+      default:
+        break;
     }
-    return "?";
 }
 
 } // namespace el::core

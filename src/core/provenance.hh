@@ -1,6 +1,7 @@
 /**
  * @file
- * Artifact provenance ledger: per-entry-point lifecycle timelines.
+ * Artifact provenance: the lifecycle event stream folded into
+ * per-entry-point timelines.
  *
  * Every translation artifact the runtime ever produces for a guest
  * entry point leaves a compact trail here: decoded → cold → hot-queued
@@ -13,13 +14,13 @@
  * I was executing come from, and what happened to its ancestors?" —
  * without re-running under a tracer.
  *
- * The ledger is fed only from the owning (guest) thread: worker-side
- * session outcomes are recorded at adoption time using the candidate's
- * planned simulated times, mirroring how the tracer handles worker
- * lanes, so timelines are deterministic across translation_threads.
- * Per-eip history is a bounded drop-oldest ring (churning blocks keep
- * their recent lifecycle, not their full history). Recording charges
- * zero simulated cycles.
+ * The ledger is the recorder's fold consumer (support/flightrec.hh):
+ * it derives each step's (state, cause) from the emitted event, on the
+ * guest thread only. Session outcomes are folded at commit time with
+ * the candidate's planned completion time, so timelines are
+ * deterministic across translation_threads. Per-eip history is a
+ * bounded drop-oldest ring (churning blocks keep their recent
+ * lifecycle, not their full history).
  */
 
 #ifndef EL_CORE_PROVENANCE_HH
@@ -28,7 +29,13 @@
 #include <cstdint>
 #include <map>
 
+#include "support/flightrec.hh"
 #include "support/ring.hh"
+
+namespace el::ipf
+{
+class CodeCache;
+} // namespace el::ipf
 
 namespace el::core
 {
@@ -86,32 +93,23 @@ struct ProvEvent
     double ts = 0;            //!< Simulated cycles.
 };
 
-/** The ledger. Owned by the runtime; main-thread only. */
-class ProvenanceLedger
+/** The ledger: the stream's provenance fold. Guest thread only. */
+class ProvenanceLedger : public flight::Observer
 {
   public:
-    /** @p per_eip_capacity Last-N lifecycle events kept per eip. */
-    explicit ProvenanceLedger(size_t per_eip_capacity = 32)
-        : per_eip_capacity_(per_eip_capacity ? per_eip_capacity : 1)
+    /** Lifecycle steps kept per eip (oldest dropped). */
+    static constexpr size_t events_per_eip = 32;
+
+    /** @p cache stamps each step's generation (null = generation 0). */
+    explicit ProvenanceLedger(const ipf::CodeCache *cache = nullptr)
+        : cache_(cache)
     {}
 
     ProvenanceLedger(const ProvenanceLedger &) = delete;
     ProvenanceLedger &operator=(const ProvenanceLedger &) = delete;
 
-    /** Append one step to @p eip's timeline. */
-    void
-    note(uint32_t eip, ProvState state, ProvCause cause, int32_t block_id,
-         uint32_t generation, double ts)
-    {
-        auto it = timelines_.find(eip);
-        if (it == timelines_.end())
-            it = timelines_
-                     .emplace(eip, BoundedRing<ProvEvent>(
-                                       per_eip_capacity_,
-                                       RingPolicy::DropOldest))
-                     .first;
-        it->second.push(ProvEvent{state, cause, block_id, generation, ts});
-    }
+    /** Fold one event: append the step(s) its kind implies. */
+    void observe(const flight::Event &e) override;
 
     /** @p eip's timeline, oldest first; null when never seen. */
     const BoundedRing<ProvEvent> *
@@ -128,10 +126,11 @@ class ProvenanceLedger
         return timelines_;
     }
 
-    size_t perEipCapacity() const { return per_eip_capacity_; }
-
   private:
-    size_t per_eip_capacity_;
+    void note(int64_t eip, ProvState state, ProvCause cause,
+              int64_t block_id, double ts);
+
+    const ipf::CodeCache *cache_;
     std::map<uint32_t, BoundedRing<ProvEvent>> timelines_;
 };
 

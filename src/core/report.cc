@@ -10,7 +10,6 @@
 #include "support/json.hh"
 #include "support/profile.hh"
 #include "support/strfmt.hh"
-#include "support/trace.hh"
 
 namespace el::core
 {
@@ -116,6 +115,34 @@ attributionOf(Runtime &rt)
     return a;
 }
 
+StatGroup
+runStats(Runtime &rt)
+{
+    // Translator + runtime counters are disjoint today; merging keeps
+    // the JSON free of duplicate keys if that ever changes.
+    StatGroup all;
+    if (rt.initOk())
+        all = rt.translator().stats;
+    all.merge(rt.stats());
+    if (rt.options().persist)
+        all.merge(rt.options().persist->stats);
+    // Observer overflow counters: a nonzero value flags a report whose
+    // event streams are incomplete (rings overflowed), which is the
+    // first thing to check before trusting a trace or profile.
+    const flight::FlightRecorder *fr = rt.flight();
+    if (fr && fr->capturing())
+        all.set("trace.dropped_events",
+                static_cast<double>(fr->captureDropped()));
+    if (rt.options().profiler)
+        all.set("profile.dropped_samples",
+                static_cast<double>(
+                    rt.options().profiler->samplesDropped()));
+    if (fr && fr->keepsTail())
+        all.set("flight.dropped_events",
+                static_cast<double>(fr->dropped()));
+    return all;
+}
+
 std::string
 runReportJson(Runtime &rt, const std::string &workload,
               const GuestResult *guest,
@@ -179,30 +206,10 @@ runReportJson(Runtime &rt, const std::string &workload,
         w.endObject();
     }
 
-    // One merged counter namespace (translator + runtime counters are
-    // disjoint today; merging keeps the JSON free of duplicate keys if
-    // that ever changes). The artifact store's persist.* counters join
-    // them when a store is attached.
-    StatGroup all_stats = rt.translator().stats;
-    all_stats.merge(rt.stats());
-    if (rt.options().persist)
-        all_stats.merge(rt.options().persist->stats);
-    // Observer overflow counters: a nonzero value flags a report whose
-    // event streams are incomplete (rings overflowed), which is the
-    // first thing to check before trusting a trace or profile.
-    if (rt.options().trace)
-        all_stats.set("trace.dropped_events",
-                      static_cast<double>(rt.options().trace->dropped()));
-    if (rt.options().profiler)
-        all_stats.set("profile.dropped_samples",
-                      static_cast<double>(
-                          rt.options().profiler->samplesDropped()));
-    if (rt.flight())
-        all_stats.set("flight.dropped_events",
-                      static_cast<double>(rt.flight()->dropped()));
+    StatGroup stats = runStats(rt);
     w.key("stats");
     w.beginObject();
-    for (const auto &[name, value] : all_stats.all())
+    for (const auto &[name, value] : stats.all())
         w.kv(name, value);
     w.endObject();
 

@@ -20,6 +20,7 @@
 #include <string>
 
 #include "support/buildinfo.hh"
+#include "support/stats.hh"
 
 namespace el::prof
 {
@@ -75,6 +76,13 @@ struct Attribution
                native + idle;
     }
 };
+
+/**
+ * One merged counter namespace: translator, runtime and (when a store
+ * is attached) persist.* counters, plus the observers' dropped-event
+ * counts. Shared by the run report, the postmortem and the audit.
+ */
+StatGroup runStats(Runtime &rt);
 
 /** Compute the attribution for a finished (or paused) runtime. */
 Attribution attributionOf(Runtime &rt);

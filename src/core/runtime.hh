@@ -95,15 +95,23 @@ class Runtime
      */
     const audit::Result &auditFindings() const { return audit_findings_; }
 
-    /** The always-on flight recorder (null when Options disabled it). */
-    flight::FlightRecorder *flight() { return flight_.get(); }
-    const flight::FlightRecorder *flight() const { return flight_.get(); }
-
-    /** The artifact provenance ledger (null when disabled). */
-    ProvenanceLedger *provenance() { return provenance_.get(); }
-    const ProvenanceLedger *provenance() const
+    /**
+     * The lifecycle event recorder: the always-on tail
+     * (Options::flight_recorder) and the Chrome capture
+     * (Options::trace). Null when Options turned both off.
+     */
+    const flight::FlightRecorder *
+    flight() const
     {
-        return provenance_.get();
+        return flight_.keepsTail() || flight_.capturing() ? &flight_
+                                                          : nullptr;
+    }
+
+    /** The provenance fold of the stream (null with the tail off). */
+    const ProvenanceLedger *
+    provenance() const
+    {
+        return options_.flight_recorder ? &provenance_ : nullptr;
     }
 
     /**
@@ -236,13 +244,13 @@ class Runtime
     uint64_t rt_base_ = 0;
     StatGroup stats_;
     std::deque<int32_t> hot_queue_;
-    trace::Tracer *trace_ = nullptr; //!< From Options; null = off.
     prof::Profiler *profiler_ = nullptr; //!< From Options; null = off.
-    // The always-on black box. Owned here (unlike the opt-in observers,
-    // which callers attach) and declared before hot_pipeline_ so worker
-    // threads are joined before the rings they write to are destroyed.
-    std::unique_ptr<flight::FlightRecorder> flight_;
-    std::unique_ptr<ProvenanceLedger> provenance_;
+    // The lifecycle event stream and its provenance fold. Owned here
+    // (unlike the opt-in observers, which callers attach) and declared
+    // before hot_pipeline_ so worker threads are joined before the
+    // rings they write to are destroyed.
+    flight::FlightRecorder flight_;
+    ProvenanceLedger provenance_;
     uint64_t dispatch_lookups_ = 0; //!< dispatchEntry() calls (sampled
                                     //!< by the profiler time series).
     double fault_overhead_cycles_ = 0;

@@ -3,10 +3,8 @@
 #include "ia32/decoder.hh"
 #include "persist/store.hh"
 #include "support/faultinject.hh"
-#include "support/flightrec.hh"
 #include "support/logging.hh"
 #include "support/sentinel.hh"
-#include "support/trace.hh"
 
 namespace el::core
 {
@@ -17,8 +15,10 @@ using ipf::ExitReason;
 using ipf::IpfOp;
 
 Translator::Translator(const Options &opts, mem::Memory &memory,
-                       ipf::CodeCache &cache, uint64_t rt_base)
-    : options(opts), mem_(memory), cache_(cache), rt_base_(rt_base)
+                       ipf::CodeCache &cache, uint64_t rt_base,
+                       flight::FlightRecorder &recorder)
+    : options(opts), mem_(memory), cache_(cache), rt_base_(rt_base),
+      rec_(recorder)
 {
     cache_.setCapacity(options.code_cache_capacity);
 }
@@ -78,14 +78,8 @@ Translator::flushCodeCache()
     pending_cycles_ += options.cache_flush_cost;
     stats.add("recover.cache_flush");
     stats.set("cache.generation", cache_.generation());
-    if (trace_)
-        trace_->span("cache_flush", trace::Cat::Cache, 0, trace_now_(),
-                     options.cache_flush_cost,
-                     {{"generation",
-                       static_cast<int64_t>(cache_.generation())}});
-    if (flight_)
-        flight_->record(flight::Kind::CacheFlush, 0, obsNow(),
-                        static_cast<int64_t>(cache_.generation()));
+    rec_.span(flight::Kind::CacheFlush, options.cache_flush_cost,
+              static_cast<int64_t>(cache_.generation()));
 }
 
 void
@@ -211,11 +205,7 @@ Translator::unlinkBlockExits(BlockInfo *block)
         in.target = -1;
         s.patched = false;
     }
-    if (trace_)
-        trace_->instant("exit_unlink", trace::Cat::Cache, 0, trace_now_(),
-                        {{"block", block->id},
-                         {"eip",
-                          static_cast<int64_t>(block->entry_eip)}});
+    rec_.emit(flight::Kind::ExitUnlink, block->entry_eip, block->id);
 }
 
 void
@@ -237,8 +227,8 @@ Translator::discardHotBlock(BlockInfo *block)
     MisalignHistory &h = misalign_[block->entry_eip];
     h.force_avoid = true;
     stats.add("hot.discarded_for_misalignment");
-    noteProv(block->entry_eip, ProvState::Discarded, ProvCause::Misalign,
-             block->id);
+    rec_.emit(flight::Kind::BlockDiscard, block->entry_eip, block->id,
+              static_cast<int64_t>(ProvCause::Misalign));
 }
 
 void
@@ -255,15 +245,11 @@ Translator::quarantineBlock(BlockInfo *block, ProvCause cause)
     // entry so the next save cannot resurrect it in another process.
     if (options.persist) {
         options.persist->dropAt(block->entry_eip);
-        noteProv(block->entry_eip, ProvState::Discarded,
-                 ProvCause::QuarantinePurge, block->id);
+        rec_.emit(flight::Kind::BlockDiscard, block->entry_eip, block->id,
+                  static_cast<int64_t>(ProvCause::QuarantinePurge));
     }
-    noteProv(block->entry_eip, ProvState::Quarantined, cause, block->id);
-    if (trace_)
-        trace_->instant("quarantine", trace::Cat::Cache, 0, trace_now_(),
-                        {{"block", block->id},
-                         {"eip",
-                          static_cast<int64_t>(block->entry_eip)}});
+    rec_.emit(flight::Kind::Quarantine, block->entry_eip, block->id,
+              static_cast<int64_t>(cause));
 }
 
 bool
@@ -309,22 +295,13 @@ Translator::invalidateRange(uint32_t addr, uint32_t len)
             b.invalidated = true;
             cache_.invalidateEntry(b.cache_entry, ExitReason::Resync,
                                    b.entry_eip);
-            noteProv(b.entry_eip, ProvState::Discarded,
-                     ProvCause::SmcWrite, b.id);
+            rec_.emit(flight::Kind::BlockDiscard, b.entry_eip, b.id,
+                      static_cast<int64_t>(ProvCause::SmcWrite));
             ++dropped;
         }
     }
     stats.add("smc.invalidations");
-    if (trace_)
-        trace_->instant("smc_invalidate", trace::Cat::Cache, 0,
-                        trace_now_(),
-                        {{"addr", static_cast<int64_t>(addr)},
-                         {"len", static_cast<int64_t>(len)},
-                         {"blocks_dropped", dropped}});
-    if (flight_)
-        flight_->record(flight::Kind::SmcInvalidate, 0, obsNow(),
-                        static_cast<int64_t>(addr),
-                        static_cast<int64_t>(len), dropped);
+    rec_.emit(flight::Kind::SmcInvalidate, addr, len, dropped);
 }
 
 BlockInfo *
@@ -589,10 +566,7 @@ Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
             flushCodeCache();
             return translateColdImpl(eip, spec, stage, false);
         }
-        if (prov_) {
-            noteProv(eip, ProvState::Decoded, ProvCause::None, info->id);
-            noteProv(eip, ProvState::Cold, ProvCause::None, info->id);
-        }
+        rec_.emit(flight::Kind::FaultStub, eip, info->id);
         cold_map_[eip].push_back({spec, info});
         blocks_.push_back(std::move(info_holder));
         return info;
@@ -713,21 +687,8 @@ Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
     double xlate_cost =
         options.cold_xlate_cost_per_insn * (info->insn_count + 1);
     pending_cycles_ += xlate_cost;
-    if (trace_)
-        trace_->span("cold_translate", trace::Cat::Translate, 0,
-                     trace_now_(), xlate_cost,
-                     {{"eip", static_cast<int64_t>(eip)},
-                      {"block", info->id},
-                      {"insns",
-                       static_cast<int64_t>(info->insn_count)}});
-    if (flight_)
-        flight_->record(flight::Kind::ColdXlate, 0, obsNow(),
-                        static_cast<int64_t>(eip), info->id,
-                        static_cast<int64_t>(info->insn_count));
-    if (prov_) {
-        noteProv(eip, ProvState::Decoded, ProvCause::None, info->id);
-        noteProv(eip, ProvState::Cold, ProvCause::None, info->id);
-    }
+    rec_.span(flight::Kind::ColdXlate, xlate_cost, eip, info->id,
+              info->insn_count);
 
     cold_map_[eip].push_back({spec, info});
     blocks_.push_back(std::move(info_holder));
@@ -1043,22 +1004,16 @@ Translator::commitHotArtifact(HotArtifact &art)
         if (BlockInfo *cold = blockById(art.cold_block_id))
             prov_eip = cold->entry_eip;
     auto discard = [&](ProvCause cause) {
-        if (flight_)
-            flight_->record(flight::Kind::HotDiscard, 0, obsNow(),
-                            static_cast<int64_t>(prov_eip),
-                            static_cast<int64_t>(cause));
-        noteProv(prov_eip, ProvState::Discarded, cause,
-                 art.cold_block_id);
+        rec_.emit(flight::Kind::HotDiscard, prov_eip,
+                  static_cast<int64_t>(cause), art.cold_block_id);
     };
-    if (prov_ && !art.from_store) {
+    if (!art.from_store) {
         // The session itself ran on a worker (or inline); stamp it at
         // its planned completion time so the timeline is identical
         // across translation_threads in deterministic mode.
-        double ts = art.ready_cycles > 0 ? art.ready_cycles : obsNow();
-        prov_->note(prov_eip, ProvState::Session,
-                    art.ok ? ProvCause::SessionOk
-                           : ProvCause::SessionAbort,
-                    art.cold_block_id, cache_.generation(), ts);
+        double ts = art.ready_cycles > 0 ? art.ready_cycles : rec_.now();
+        rec_.emitAt({flight::Kind::HotResult, 0, ts, 0, prov_eip,
+                     art.cold_block_id, art.ok});
     }
 
     if (!art.ok) {
@@ -1204,18 +1159,22 @@ Translator::commitHotArtifact(HotArtifact &art)
     }
 
     blocks_.push_back(std::move(info_holder));
-    if (flight_)
-        flight_->record(flight::Kind::HotCommit, 0, obsNow(),
-                        static_cast<int64_t>(info->entry_eip), info->id,
-                        static_cast<int64_t>(info->insn_count));
-    noteProv(info->entry_eip,
-             art.from_store ? ProvState::Adopted : ProvState::Published,
-             art.from_store ? ProvCause::StoreHit : ProvCause::SessionOk,
-             info->id);
+    // Pipeline commits (planned on a worker timeline, so ready_cycles
+    // is set) carry their session's seq and worker slot and stall the
+    // guest for publication; a stored artifact ran no session here.
+    bool pipelined = art.ready_cycles > 0;
+    rec_.span(flight::Kind::HotCommit,
+              pipelined ? options.hot_publish_cost_per_insn *
+                              (info->insn_count + 1)
+                        : 0,
+              info->entry_eip, info->id,
+              art.from_store ? flight::none
+                             : static_cast<int64_t>(art.seq),
+              pipelined ? static_cast<int64_t>(art.worker_slot)
+                        : flight::none);
     if (record_it) {
         store->record(std::move(rec));
-        noteProv(info->entry_eip, ProvState::Persisted,
-                 ProvCause::StoreRecord, info->id);
+        rec_.emit(flight::Kind::Persisted, info->entry_eip, info->id);
     }
     return info;
 }
@@ -1261,13 +1220,8 @@ Translator::adoptPersisted(uint32_t eip, const SpecContext &spec)
         }
         if (!smc_ok) {
             store->stats.add("persist.smc_rejected");
-            if (flight_)
-                flight_->record(
-                    flight::Kind::PersistReject, 0, obsNow(),
-                    static_cast<int64_t>(eip),
-                    static_cast<int64_t>(ProvCause::SmcMismatch));
-            noteProv(eip, ProvState::Discarded, ProvCause::SmcMismatch,
-                     -1);
+            rec_.emit(flight::Kind::PersistReject, eip,
+                      static_cast<int64_t>(ProvCause::SmcMismatch));
             continue;
         }
 
@@ -1299,15 +1253,8 @@ Translator::adoptPersisted(uint32_t eip, const SpecContext &spec)
         // session itself.
         chargeHotStall(options.hot_publish_cost_per_insn *
                        (info->insn_count + 1));
-        if (trace_)
-            trace_->instant("persist_adopt", trace::Cat::Hot, 0,
-                            trace_now_(),
-                            {{"block", info->id},
-                             {"eip", static_cast<int64_t>(eip)}});
-        if (flight_)
-            flight_->record(flight::Kind::PersistAdopt, 0, obsNow(),
-                            static_cast<int64_t>(eip),
-                            static_cast<int64_t>(info->insn_count));
+        rec_.emit(flight::Kind::PersistAdopt, eip, info->insn_count,
+                  info->id);
         if (!match && specMatches(*info, spec))
             match = info;
     }
@@ -1340,10 +1287,8 @@ Translator::translateHot(uint32_t entry_eip, const SpecContext &spec)
     HotArtifact art;
     art.generation = cache_.generation();
     runHotSession(input, options, /*faults=*/nullptr, &art);
-    if (flight_)
-        flight_->record(flight::Kind::HotSession, 0, obsNow(),
-                        static_cast<int64_t>(entry_eip),
-                        static_cast<int64_t>(art.seq), art.ok ? 1 : 0);
+    rec_.emit(flight::Kind::HotSession, entry_eip, art.seq, art.ok,
+              flight::none);
 
     BlockInfo *info = commitHotArtifact(art);
     if (info && faultInjected(FaultSite::Miscompile)) {
@@ -1359,22 +1304,10 @@ Translator::translateHot(uint32_t entry_eip, const SpecContext &spec)
             options.hot_xlate_cost_per_insn * (info->insn_count + 1);
         pending_cycles_ += cost;
         pending_hot_stall_ += cost;
-        if (trace_) {
-            // Inline session: snapshot/emit/commit all happen on the
-            // guest lane, back to back on the simulated timeline.
-            double t0 = trace_now_();
-            int64_t eip = static_cast<int64_t>(entry_eip);
-            trace_->span("hot_snapshot", trace::Cat::Hot, 0, t0, 0,
-                         {{"eip", eip}, {"block", info->id}});
-            trace_->span("hot_emit", trace::Cat::Hot, 0, t0, cost,
-                         {{"eip", eip}, {"block", info->id}});
-            // ts stays at t0 (not t0+cost): the stall cycles are only
-            // charged to the machine after this service returns, so a
-            // future timestamp could precede the next event on lane 0
-            // and break per-lane monotonicity.
-            trace_->span("hot_commit", trace::Cat::Hot, 0, t0, 0,
-                         {{"eip", eip}, {"block", info->id}});
-        }
+        // ts is now, not now+cost: the stall cycles are only charged
+        // to the machine after this service returns, so a future
+        // timestamp could precede the next event on lane 0.
+        rec_.span(flight::Kind::HotInline, cost, entry_eip, info->id);
     }
     return info;
 }

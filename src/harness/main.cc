@@ -32,11 +32,11 @@
 #include "harness/exec.hh"
 #include "persist/store.hh"
 #include "support/buildinfo.hh"
+#include "support/flightrec.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/profile.hh"
 #include "support/sentinel.hh"
-#include "support/trace.hh"
 
 namespace
 {
@@ -213,7 +213,7 @@ validateTraceFile(const std::string &path)
     std::ostringstream ss;
     ss << f.rdbuf();
     std::string error;
-    if (!trace::validateChromeTrace(ss.str(), &error)) {
+    if (!flight::validateChromeTrace(ss.str(), &error)) {
         std::fprintf(stderr, "el_run: %s: invalid trace: %s\n",
                      path.c_str(), error.c_str());
         return exit_io;
@@ -374,9 +374,7 @@ main(int argc, char **argv)
         return exit_usage;
     }
 
-    trace::Tracer tracer;
-    if (!trace_out.empty())
-        options.trace = &tracer;
+    options.trace = !trace_out.empty();
     if (!report_json.empty())
         options.collect_block_cycles = true;
     prof::Profiler profiler(prof_cfg);
@@ -486,14 +484,17 @@ main(int argc, char **argv)
         run.outcome.guest_insns);
 
     if (!trace_out.empty()) {
-        if (!tracer.writeChromeJson(trace_out)) {
+        const flight::FlightRecorder &rec = *run.runtime->flight();
+        size_t events = 0;
+        if (!rec.writeChromeJson(trace_out, &events)) {
             std::fprintf(stderr, "el_run: cannot write %s\n",
                          trace_out.c_str());
             return exit_io;
         }
         std::printf("trace:  %s (%zu events, %llu dropped)\n",
-                    trace_out.c_str(), tracer.snapshot().size(),
-                    static_cast<unsigned long long>(tracer.dropped()));
+                    trace_out.c_str(), events,
+                    static_cast<unsigned long long>(
+                        rec.captureDropped()));
     }
     if (!report_json.empty()) {
         if (!core::writeRunReport(*run.runtime, wl->name, report_json,

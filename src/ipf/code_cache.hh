@@ -67,20 +67,11 @@ class CodeCache
      */
     void invalidateEntry(int64_t idx, ExitReason reason, int64_t payload);
 
-    /** Total instructions emitted with each bucket tag (code-size stats). */
-    uint64_t countBucket(Bucket bucket) const;
-
     // ----- bounded-cache support (flush-and-retranslate GC) -----------
 
     /** Install a capacity in instructions; 0 means unbounded. */
     void setCapacity(size_t cap) { capacity_ = cap; }
     size_t capacity() const { return capacity_; }
-
-    /** True if @p idx belongs to the current generation's code. */
-    bool contains(int64_t idx) const
-    {
-        return idx >= 0 && idx < nextIndex();
-    }
 
     /**
      * Would a translation needing up to @p headroom instructions

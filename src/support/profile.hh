@@ -274,7 +274,8 @@ class Profiler
     bool cursor_valid_ = false;
 
     /** Drop-oldest: the time series keeps the most recent window
-     *  (the tracer makes the opposite choice; see support/ring.hh). */
+     *  (the Chrome capture makes the opposite choice; see
+     *  support/ring.hh). */
     BoundedRing<Sample> samples_;
     uint64_t samples_taken_ = 0;
     uint64_t next_sample_due_ = 0;

@@ -25,7 +25,7 @@
  *                                           pinned to the interpreter
  *                                           after bounded retries
  *
- * Like the tracer and profiler, the sentinel is attached through a
+ * Like the profiler, the sentinel is attached through a
  * non-owned `Options` pointer: when detached every hook is one
  * predictable branch, no simulated cycle is ever charged to it, and
  * counters/cycles are bit-identical with the sentinel attached or not

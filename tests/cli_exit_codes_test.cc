@@ -24,6 +24,7 @@
 
 #include <sys/wait.h>
 
+#include "ia32/fault.hh"
 #include "support/json.hh"
 
 namespace
@@ -107,6 +108,28 @@ TEST(CliExitCodes, IoErrorIsTwo)
     EXPECT_EQ(runCli("--workload=jit_rewriter "
                      "--metrics-out=/no/such/dir/metrics.ndjson"),
               2);
+    EXPECT_EQ(runCli("--workload=jit_rewriter "
+                     "--trace-out=/no/such/dir/trace.json"),
+              2);
+}
+
+TEST(CliExitCodes, TraceOutRoundTripValidates)
+{
+    // The --trace-out writer and the --validate-trace checker agree:
+    // what el_run exports is a valid Chrome trace.
+    std::string path = testing::TempDir() + "el_trace_roundtrip.json";
+    std::remove(path.c_str());
+    ASSERT_EQ(runCli("--workload=jit_rewriter --threads=2 "
+                     "--deterministic --trace-out=" + path),
+              0);
+    EXPECT_EQ(runCli("--validate-trace=" + path), 0);
+    // A truncated copy must be refused.
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    std::string cut = path + ".cut";
+    std::ofstream(cut) << text.str().substr(0, text.str().size() / 2);
+    EXPECT_EQ(runCli("--validate-trace=" + cut), 2);
 }
 
 TEST(CliExitCodes, UnhandledGuestFaultIsTen)
@@ -205,9 +228,16 @@ TEST(CliPostmortem, GuestFaultBundleNamesTheFault)
                               : nullptr;
     ASSERT_NE(events, nullptr);
     bool fault_event = false;
-    for (const Value &e : events->arr)
-        if (e.strOr("kind", "") == "guest_fault")
-            fault_event = true;
+    for (const Value &e : events->arr) {
+        if (e.strOr("kind", "") != "guest_fault")
+            continue;
+        fault_event = true;
+        // a = the faulting eip (the faulter's load, after its 5-byte
+        // mov at the code base), b = the fault kind.
+        EXPECT_EQ(e.numberOr("a", 0), 0x08048005);
+        EXPECT_EQ(e.numberOr("b", 0),
+                  static_cast<double>(el::ia32::FaultKind::PageFault));
+    }
     EXPECT_TRUE(fault_event) << "no guest_fault flight event in bundle";
     const Value *prov = root.find("provenance");
     ASSERT_NE(prov, nullptr);

@@ -82,7 +82,7 @@ TEST(FlightRecorder, DropOldestKeepsTheTail)
 {
     flight::FlightRecorder fr(4);
     for (int i = 0; i < 10; ++i)
-        fr.record(flight::Kind::Dispatch, 0, i, i);
+        fr.emitAt({flight::Kind::Dispatch, 0, double(i), 0, i});
     std::vector<flight::Event> ev = fr.snapshot();
     ASSERT_EQ(ev.size(), 4u);
     // The last four events survive, the first six were evicted.
@@ -94,9 +94,9 @@ TEST(FlightRecorder, DropOldestKeepsTheTail)
 TEST(FlightRecorder, SnapshotMergesSortedByTime)
 {
     flight::FlightRecorder fr(16);
-    fr.record(flight::Kind::HotCommit, 0, 30.0, 3);
-    fr.record(flight::Kind::Dispatch, 0, 10.0, 1);
-    fr.record(flight::Kind::ColdXlate, 0, 20.0, 2);
+    fr.emitAt({flight::Kind::HotCommit, 0, 30.0, 0, 3});
+    fr.emitAt({flight::Kind::Dispatch, 0, 10.0, 0, 1});
+    fr.emitAt({flight::Kind::ColdXlate, 0, 20.0, 0, 2});
     std::vector<flight::Event> ev = fr.snapshot();
     ASSERT_EQ(ev.size(), 3u);
     EXPECT_EQ(ev[0].a, 1);
@@ -117,19 +117,60 @@ TEST(FlightRecorder, KindNamesAreStable)
                  "sentinel_shift");
 }
 
+TEST(FlightRecorder, ConsumersSeeOnlyTheirKinds)
+{
+    core::ProvenanceLedger led;
+    flight::FlightRecorder fr(16, 16);
+    fr.attach(&led);
+    fr.emit(flight::Kind::Dispatch, 0x1000);        // tail only
+    fr.emit(flight::Kind::HeatRegister, 0x1000, 1); // capture only
+    fr.emit(flight::Kind::FaultStub, 0x2000, 2);    // fold only
+    fr.emit(flight::Kind::ColdXlate, 0x3000, 3, 4); // all three
+    // An inline session is drawn by HotInline, not by HotSession.
+    fr.emit(flight::Kind::HotSession, 0x3000, 0, 1, flight::none);
+    fr.emit(flight::Kind::HotInline, 0x3000, 5);
+
+    std::vector<flight::Event> tail = fr.snapshot();
+    ASSERT_EQ(tail.size(), 3u);
+    EXPECT_EQ(tail[0].kind, flight::Kind::Dispatch);
+    EXPECT_EQ(tail[1].kind, flight::Kind::ColdXlate);
+    EXPECT_EQ(tail[2].kind, flight::Kind::HotSession);
+    EXPECT_EQ(fr.captured().size(), 3u);
+    EXPECT_EQ(led.all().size(), 2u);
+    EXPECT_NE(led.timeline(0x2000), nullptr);
+    EXPECT_NE(led.timeline(0x3000), nullptr);
+
+    json::Value root;
+    std::string error;
+    ASSERT_TRUE(json::Parser::parse(fr.chromeJson(), &root, &error))
+        << error;
+    std::vector<std::string> names;
+    for (const json::Value &e : root.find("traceEvents")->arr)
+        names.push_back(e.strOr("name", ""));
+    // HotInline expands into the inline snapshot/emit/commit spans.
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "cold_translate", "heat_register", "hot_snapshot",
+                         "hot_emit", "hot_commit"}));
+}
+
 TEST(ProvenanceLedger, TimelineIsBoundedPerEip)
 {
-    core::ProvenanceLedger led(2);
-    for (int i = 0; i < 5; ++i)
-        led.note(0x1000, core::ProvState::Cold, core::ProvCause::None,
-                 i, 0, i);
+    core::ProvenanceLedger led;
+    flight::FlightRecorder fr(0);
+    fr.attach(&led);
+    // Each cold translation folds into two steps (decoded, cold).
+    const int n = core::ProvenanceLedger::events_per_eip;
+    for (int i = 0; i < n; ++i)
+        fr.emitAt({flight::Kind::ColdXlate, 0, double(i), 0, 0x1000, i});
     const BoundedRing<core::ProvEvent> *tl = led.timeline(0x1000);
     ASSERT_NE(tl, nullptr);
-    EXPECT_EQ(tl->size(), 2u);
+    EXPECT_EQ(tl->size(), core::ProvenanceLedger::events_per_eip);
+    EXPECT_EQ(tl->dropped(), core::ProvenanceLedger::events_per_eip);
     EXPECT_EQ(led.timeline(0x2000), nullptr);
-    // Oldest dropped: the survivors are the last two notes.
+    // Oldest dropped: the survivors are the second half's steps.
     auto it = tl->begin();
-    EXPECT_EQ(it->block_id, 3);
+    EXPECT_EQ(it->state, core::ProvState::Decoded);
+    EXPECT_EQ(it->block_id, n / 2);
 }
 
 // ----- zero-overhead / bit-exactness ------------------------------------

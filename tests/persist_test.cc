@@ -315,7 +315,12 @@ class PersistCorruption : public ::testing::Test
     SetUp() override
     {
         w_ = victim();
-        dir_ = std::make_unique<TempDir>("corrupt");
+        // One directory per test: ctest runs these cases as parallel
+        // processes, and a shared directory lets one case's rewrite
+        // corrupt another's store mid-check.
+        dir_ = std::make_unique<TempDir>(
+            std::string("corrupt_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
         persist::ArtifactStore store;
         coldRunInto(store, w_);
         ASSERT_GT(store.recordCount(), 0u);

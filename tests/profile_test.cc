@@ -19,7 +19,6 @@
 #include "support/json.hh"
 #include "support/profile.hh"
 #include "support/strfmt.hh"
-#include "support/trace.hh"
 
 namespace el
 {
@@ -124,9 +123,8 @@ TEST(Profile, TracerAndProfilerTogetherCyclesBitIdentical)
 {
     guest::Workload w = craftyWorkload();
     prof::Profiler p;
-    trace::Tracer t;
     core::Options both = profOpts(4, &p);
-    both.trace = &t;
+    both.trace = true;
     harness::TranslatedRun on =
         harness::runTranslated(w.image, w.params.abi, both);
     harness::TranslatedRun off = harness::runTranslated(

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the translation-lifecycle tracer and the run report:
+ * Tests for the event stream's Chrome capture and the run report:
  * replaying a deterministic configuration must reproduce the trace
  * bit-identically, lifecycle event sets must be stable across worker
  * thread counts, tracing must never perturb simulated cycles, the
@@ -12,16 +12,16 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/report.hh"
 #include "guest/workloads.hh"
 #include "harness/exec.hh"
+#include "support/flightrec.hh"
 #include "support/json.hh"
 #include "support/strfmt.hh"
-#include "support/trace.hh"
 
 namespace el
 {
@@ -29,14 +29,14 @@ namespace
 {
 
 core::Options
-traceOpts(unsigned threads, trace::Tracer *tracer)
+traceOpts(unsigned threads, bool trace = true)
 {
     core::Options o;
     o.heat_threshold = 16;
     o.hot_batch = 1;
     o.translation_threads = threads;
     o.deterministic_adoption = threads > 0;
-    o.trace = tracer;
+    o.trace = trace;
     return o;
 }
 
@@ -49,49 +49,41 @@ gzipWorkload()
     return guest::buildStream("gzip", p);
 }
 
-/** Stable text encoding of one event (everything the trace records). */
+/** The run's capture as exported Chrome JSON. */
 std::string
-encode(const trace::Event &e)
+chromeOf(const harness::TranslatedRun &r)
 {
-    std::string s = strfmt("%s|%c|%u|%.17g|%.17g", e.name, e.ph, e.tid,
-                           e.ts, e.dur);
-    for (unsigned i = 0; i < e.nargs; ++i)
-        s += strfmt("|%s=%lld", e.args[i].key,
-                    static_cast<long long>(e.args[i].value));
-    return s;
+    return r.runtime->flight()->chromeJson();
 }
 
-std::string
-encodeAll(const trace::Tracer &t)
+/** The exported Chrome trace events of a run. */
+std::vector<json::Value>
+eventsOf(const harness::TranslatedRun &r)
 {
-    std::string s;
-    for (const trace::Event &e : t.snapshot())
-        s += encode(e) + "\n";
-    return s;
+    json::Value root;
+    std::string error;
+    EXPECT_TRUE(json::Parser::parse(chromeOf(r), &root, &error)) << error;
+    const json::Value *events = root.find("traceEvents");
+    return events && events->isArray() ? events->arr
+                                       : std::vector<json::Value>{};
 }
 
-const trace::Arg *
-argOf(const trace::Event &e, const char *key)
+double
+argOf(const json::Value &e, const char *key, double missing = -1)
 {
-    for (unsigned i = 0; i < e.nargs; ++i)
-        if (std::strcmp(e.args[i].key, key) == 0)
-            return &e.args[i];
-    return nullptr;
+    const json::Value *args = e.find("args");
+    return args ? args->numberOr(key, missing) : missing;
 }
 
 /** The (name, eip) pairs of all events named @p name. */
 std::multiset<std::string>
-eipSetOf(const trace::Tracer &t, const char *name)
+eipSetOf(const harness::TranslatedRun &r, const char *name)
 {
     std::multiset<std::string> out;
-    for (const trace::Event &e : t.snapshot()) {
-        if (std::strcmp(e.name, name) != 0)
-            continue;
-        const trace::Arg *eip = argOf(e, "eip");
-        out.insert(strfmt("%s@%llx", e.name,
-                          eip ? static_cast<long long>(eip->value)
-                              : -1LL));
-    }
+    for (const json::Value &e : eventsOf(r))
+        if (e.strOr("name", "") == name)
+            out.insert(strfmt("%s@%llx", name,
+                              static_cast<long long>(argOf(e, "eip"))));
     return out;
 }
 
@@ -100,17 +92,15 @@ eipSetOf(const trace::Tracer &t, const char *name)
 TEST(Trace, ReplayProducesIdenticalStream)
 {
     guest::Workload w = gzipWorkload();
-    trace::Tracer t1, t2;
-    harness::TranslatedRun r1 = harness::runTranslated(
-        w.image, w.params.abi, traceOpts(4, &t1));
-    harness::TranslatedRun r2 = harness::runTranslated(
-        w.image, w.params.abi, traceOpts(4, &t2));
+    harness::TranslatedRun r1 =
+        harness::runTranslated(w.image, w.params.abi, traceOpts(4));
+    harness::TranslatedRun r2 =
+        harness::runTranslated(w.image, w.params.abi, traceOpts(4));
     ASSERT_TRUE(r1.outcome.exited);
     EXPECT_EQ(r1.outcome.cycles, r2.outcome.cycles);
-    EXPECT_EQ(t1.dropped(), 0u);
-    std::string s1 = encodeAll(t1);
-    EXPECT_FALSE(s1.empty());
-    EXPECT_EQ(s1, encodeAll(t2));
+    EXPECT_EQ(r1.runtime->flight()->captureDropped(), 0u);
+    EXPECT_FALSE(eventsOf(r1).empty());
+    EXPECT_EQ(chromeOf(r1), chromeOf(r2));
 }
 
 // ----- cross-thread-count stability -------------------------------------
@@ -120,11 +110,10 @@ TEST(Trace, ColdTranslateSetStableAcrossThreadCounts)
     guest::Workload w = gzipWorkload();
     std::multiset<std::string> sync_set, async_ref;
     for (unsigned threads : {0u, 1u, 4u}) {
-        trace::Tracer t;
         harness::TranslatedRun r = harness::runTranslated(
-            w.image, w.params.abi, traceOpts(threads, &t));
+            w.image, w.params.abi, traceOpts(threads));
         ASSERT_TRUE(r.outcome.exited) << "threads " << threads;
-        std::multiset<std::string> cold = eipSetOf(t, "cold_translate");
+        std::multiset<std::string> cold = eipSetOf(r, "cold_translate");
         EXPECT_FALSE(cold.empty());
         if (threads == 0) {
             sync_set = cold;
@@ -151,19 +140,18 @@ TEST(Trace, HotLifecycleStableAcrossWorkerCounts)
     guest::Workload w = gzipWorkload();
     std::multiset<std::string> ref;
     for (unsigned threads : {1u, 4u}) {
-        trace::Tracer t;
         harness::TranslatedRun r = harness::runTranslated(
-            w.image, w.params.abi, traceOpts(threads, &t));
+            w.image, w.params.abi, traceOpts(threads));
         ASSERT_TRUE(r.outcome.exited);
         // Registration is driven by main-thread execution counts, so
         // the set must not depend on how many workers drain the queue.
-        std::multiset<std::string> reg = eipSetOf(t, "heat_register");
+        std::multiset<std::string> reg = eipSetOf(r, "heat_register");
         EXPECT_FALSE(reg.empty());
         if (threads == 1)
             ref = reg;
         else
             EXPECT_EQ(ref, reg);
-        EXPECT_FALSE(eipSetOf(t, "hot_commit").empty());
+        EXPECT_FALSE(eipSetOf(r, "hot_commit").empty());
     }
 }
 
@@ -173,11 +161,10 @@ TEST(Trace, TracingOffCyclesBitIdentical)
 {
     guest::Workload w = gzipWorkload();
     for (unsigned threads : {0u, 4u}) {
-        trace::Tracer t;
         harness::TranslatedRun traced = harness::runTranslated(
-            w.image, w.params.abi, traceOpts(threads, &t));
+            w.image, w.params.abi, traceOpts(threads));
         harness::TranslatedRun plain = harness::runTranslated(
-            w.image, w.params.abi, traceOpts(threads, nullptr));
+            w.image, w.params.abi, traceOpts(threads, false));
         ASSERT_TRUE(traced.outcome.exited);
         EXPECT_EQ(traced.outcome.cycles, plain.outcome.cycles)
             << "threads " << threads;
@@ -190,15 +177,15 @@ TEST(Trace, TracingOffCyclesBitIdentical)
 TEST(Trace, ChromeExportValidates)
 {
     guest::Workload w = gzipWorkload();
-    trace::Tracer t;
-    harness::runTranslated(w.image, w.params.abi, traceOpts(4, &t));
+    harness::TranslatedRun r =
+        harness::runTranslated(w.image, w.params.abi, traceOpts(4));
     std::string error;
-    EXPECT_TRUE(trace::validateChromeTrace(t.chromeJson(), &error))
+    EXPECT_TRUE(flight::validateChromeTrace(chromeOf(r), &error))
         << error;
     // A malformed document must be rejected.
-    EXPECT_FALSE(trace::validateChromeTrace("{\"traceEvents\": 3}",
-                                            &error));
-    EXPECT_FALSE(trace::validateChromeTrace("not json", &error));
+    EXPECT_FALSE(flight::validateChromeTrace("{\"traceEvents\": 3}",
+                                             &error));
+    EXPECT_FALSE(flight::validateChromeTrace("not json", &error));
 }
 
 TEST(Trace, AttributionSumsExactlyToTotalCycles)
@@ -206,7 +193,7 @@ TEST(Trace, AttributionSumsExactlyToTotalCycles)
     guest::Workload w = gzipWorkload();
     for (unsigned threads : {0u, 4u}) {
         harness::TranslatedRun r = harness::runTranslated(
-            w.image, w.params.abi, traceOpts(threads, nullptr));
+            w.image, w.params.abi, traceOpts(threads, false));
         ASSERT_TRUE(r.outcome.exited);
         core::Attribution a = core::attributionOf(*r.runtime);
         // Exact, not approximate: every subtraction in the attribution
@@ -224,7 +211,7 @@ TEST(Trace, AttributionSumsExactlyToTotalCycles)
 TEST(Trace, RunReportJsonParsesAndMatchesAttribution)
 {
     guest::Workload w = gzipWorkload();
-    core::Options o = traceOpts(4, nullptr);
+    core::Options o = traceOpts(4, false);
     o.collect_block_cycles = true;
     harness::TranslatedRun r =
         harness::runTranslated(w.image, w.params.abi, o);
@@ -250,17 +237,16 @@ TEST(Trace, RunReportJsonParsesAndMatchesAttribution)
 TEST(Trace, GzipHotSessionsLandOnWorkerLanes)
 {
     guest::Workload w = gzipWorkload();
-    trace::Tracer t;
-    harness::TranslatedRun r = harness::runTranslated(
-        w.image, w.params.abi, traceOpts(4, &t));
+    harness::TranslatedRun r =
+        harness::runTranslated(w.image, w.params.abi, traceOpts(4));
     ASSERT_TRUE(r.outcome.exited);
-    std::set<uint32_t> lanes;
-    for (const trace::Event &e : t.snapshot())
-        if (std::strcmp(e.name, "hot_emit") == 0)
-            lanes.insert(e.tid);
+    std::set<double> lanes;
+    for (const json::Value &e : eventsOf(r))
+        if (e.strOr("name", "") == "hot_emit")
+            lanes.insert(e.numberOr("tid", 0));
     EXPECT_FALSE(lanes.empty());
-    for (uint32_t tid : lanes)
-        EXPECT_NE(tid, 0u); // sessions run on worker lanes, not lane 0
+    for (double tid : lanes)
+        EXPECT_NE(tid, 0.0); // sessions run on worker lanes, not lane 0
 }
 
 TEST(Trace, BoundedCachePressureEmitsFlushEvents)
@@ -271,40 +257,36 @@ TEST(Trace, BoundedCachePressureEmitsFlushEvents)
     p.code_copies = 12;
     guest::Workload w = guest::buildBigCode("bigcode", p);
 
-    trace::Tracer t;
-    core::Options o = traceOpts(0, &t);
+    core::Options o = traceOpts(0);
     o.code_cache_capacity = 1024;
     o.cache_headroom = 512;
     harness::TranslatedRun r =
         harness::runTranslated(w.image, w.params.abi, o);
     ASSERT_TRUE(r.outcome.exited);
     unsigned flushes = 0;
-    for (const trace::Event &e : t.snapshot())
-        if (std::strcmp(e.name, "cache_flush") == 0)
+    for (const json::Value &e : eventsOf(r))
+        if (e.strOr("name", "") == "cache_flush")
             ++flushes;
     EXPECT_GE(flushes, 1u);
     std::string error;
-    EXPECT_TRUE(trace::validateChromeTrace(t.chromeJson(), &error))
+    EXPECT_TRUE(flight::validateChromeTrace(chromeOf(r), &error))
         << error;
 }
 
 TEST(Trace, InjectedFaultsAreTraced)
 {
     guest::Workload w = gzipWorkload();
-    trace::Tracer t;
-    core::Options o = traceOpts(4, &t);
+    core::Options o = traceOpts(4);
     o.fault.site(FaultSite::HotXlateAbort, 512); // p = 512/1024
     o.fault.seed = 7;
     harness::TranslatedRun r =
         harness::runTranslated(w.image, w.params.abi, o);
     ASSERT_TRUE(r.outcome.exited);
     unsigned fires = 0;
-    for (const trace::Event &e : t.snapshot())
-        if (std::strcmp(e.name, "fault_fire") == 0) {
-            const trace::Arg *site = argOf(e, "site");
-            ASSERT_NE(site, nullptr);
-            EXPECT_EQ(site->value,
-                      static_cast<int64_t>(FaultSite::HotXlateAbort));
+    for (const json::Value &e : eventsOf(r))
+        if (e.strOr("name", "") == "fault_fire") {
+            EXPECT_EQ(argOf(e, "site"),
+                      static_cast<double>(FaultSite::HotXlateAbort));
             ++fires;
         }
     EXPECT_GE(fires, 1u);
