@@ -9,13 +9,17 @@
  *           `el_aot` flow (aggressive-heat discovery, then a
  *           shadow-check-everything validation pass that drops any
  *           artifact the sentinel convicts).
+ * gzip and mcf run all three; gcc (flat big code, where adopted traces
+ * side-exit into interiors the warm run never ran cold) runs cold and
+ * warm.
  *
  * Reported per leg: total cycles, translation cycles (hot-translation
  * stalls + cold translation work), and the reuse rate. The headline
  * scalars assert the subsystem's contract: the warm leg adopts >= 90%
- * of its hot artifacts from the store, spends <= 50% of the cold leg's
- * translation cycles, and reproduces the cold leg's guest results
- * bit-for-bit.
+ * of its hot artifacts from the store, reproduces the cold leg's guest
+ * results bit-for-bit, and costs fewer cycles than the cold leg; on
+ * gzip and mcf it also spends <= 50% of the cold leg's translation
+ * cycles.
  */
 
 #include <cstdio>
@@ -141,7 +145,9 @@ main(int argc, char **argv)
              "reuse", "bit-exact"});
 
     int rc = 0;
-    for (const char *name : {"gzip", "mcf"}) {
+    const std::pair<const char *, bool> workloads[] = {
+        {"gzip", true}, {"mcf", true}, {"gcc", false}};
+    for (const auto &[name, with_aot] : workloads) {
         const guest::Workload *wl = nullptr;
         std::vector<guest::Workload> suite = guest::specIntSuite();
         for (const guest::Workload &w : suite)
@@ -168,51 +174,62 @@ main(int argc, char **argv)
         Leg warm = measure(*wl, base, &warm_store, rep,
                            std::string(name) + "_warm");
 
-        // AOT leg: a sealed, validated store built offline.
-        persist::ArtifactStore aot_store(fp);
-        buildAotStore(*wl, aot_store);
-        Leg aot = measure(*wl, base, &aot_store, rep,
-                          std::string(name) + "_aot");
-
-        bool warm_exact = sameGuest(cold.guest, warm.guest);
-        bool aot_exact = sameGuest(cold.guest, aot.guest);
+        std::vector<std::tuple<const char *, Leg, bool>> legs = {
+            {"cold", cold, true},
+            {"warm", warm, sameGuest(cold.guest, warm.guest)}};
+        if (with_aot) {
+            // AOT leg: a sealed, validated store built offline.
+            persist::ArtifactStore aot_store(fp);
+            buildAotStore(*wl, aot_store);
+            Leg aot = measure(*wl, base, &aot_store, rep,
+                              std::string(name) + "_aot");
+            legs.emplace_back("aot", aot, sameGuest(cold.guest, aot.guest));
+        }
         double ratio = cold.xlate_cycles > 0
                            ? warm.xlate_cycles / cold.xlate_cycles
                            : 0;
-
-        const std::tuple<const char *, const Leg *, bool> legs[] = {
-            {"cold", &cold, true},
-            {"warm", &warm, warm_exact},
-            {"aot", &aot, aot_exact}};
-        for (const auto &[leg, l, exact] : legs) {
-            t.addRow({name, leg, strfmt("%.0f", l->cycles),
-                      strfmt("%.0f", l->xlate_cycles),
-                      strfmt("%.2f%%",
-                             100.0 * l->xlate_cycles / l->cycles),
-                      strfmt("%.0f%%", 100.0 * l->reuse),
-                      exact ? "yes" : "NO"});
-        }
+        double speedup = cold.cycles / warm.cycles;
 
         rep.scalar(std::string(name) + "_warm_reuse", warm.reuse, 0.10);
-        rep.scalar(std::string(name) + "_warm_xlate_ratio", ratio,
-                   0.50);
-        rep.scalar(std::string(name) + "_warm_speedup",
-                   cold.cycles / warm.cycles, 0.10);
-        rep.scalar(std::string(name) + "_aot_reuse", aot.reuse, 0.50);
+        if (with_aot)
+            rep.scalar(std::string(name) + "_warm_xlate_ratio", ratio,
+                       0.50);
+        // On gcc a third of the cold leg is hot-session stalls the warm
+        // leg adopts away (~1.48x). A warm run that rebuilds the
+        // interiors of its adopted traces measures ~1.06x with ~40%
+        // reuse, so 0.10 on simulated (deterministic) cycles catches
+        // even a partial relapse.
+        rep.scalar(std::string(name) + "_warm_speedup", speedup, 0.10);
+        if (with_aot)
+            rep.scalar(std::string(name) + "_aot_reuse",
+                       std::get<1>(legs.back()).reuse, 0.50);
 
         // The subsystem's contract, enforced.
-        if (!warm_exact || !aot_exact) {
-            std::fprintf(stderr, "%s: warm/aot guest results diverge "
-                                 "from cold\n",
-                         name);
-            rc = 1;
+        for (const auto &[leg, l, exact] : legs) {
+            t.addRow({name, leg, strfmt("%.0f", l.cycles),
+                      strfmt("%.0f", l.xlate_cycles),
+                      strfmt("%.2f%%", 100.0 * l.xlate_cycles / l.cycles),
+                      strfmt("%.0f%%", 100.0 * l.reuse),
+                      exact ? "yes" : "NO"});
+            if (!exact) {
+                std::fprintf(stderr, "%s: %s guest results diverge "
+                                     "from cold\n",
+                             name, leg);
+                rc = 1;
+            }
         }
         if (warm.reuse < 0.90) {
             std::fprintf(stderr, "%s: warm reuse %.0f%% below 90%%\n",
                          name, 100.0 * warm.reuse);
             rc = 1;
         }
-        if (ratio > 0.50) {
+        if (speedup <= 1.0) {
+            std::fprintf(stderr, "%s: warm leg (%.0f cycles) no faster "
+                                 "than cold (%.0f)\n",
+                         name, warm.cycles, cold.cycles);
+            rc = 1;
+        }
+        if (with_aot && ratio > 0.50) {
             std::fprintf(stderr,
                          "%s: warm translation cycles %.0f%% of cold "
                          "(need <= 50%%)\n",

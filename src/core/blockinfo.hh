@@ -24,14 +24,12 @@ enum class BlockKind : uint8_t
     Hot,
 };
 
-/**
- * Hot-coverage lifecycle of a cold block. Replaces the historical
- * hot_version = -1 / -2 sentinels so recovery code reads declaratively.
- */
+/** Hot-coverage lifecycle of a cold block. */
 enum class HotState : uint8_t
 {
     Eligible,   //!< May register as a hot candidate and be promoted.
-    Covered,    //!< A hot trace covers this block (hot_version valid).
+    Covered,    //!< A hot trace covers this block (a live one, or a
+                //!< loaded store trace that holds it as interior).
     PinnedCold, //!< Hot translation failed hot_retry_limit times;
                 //!< permanently executes as cold code.
 };
@@ -171,7 +169,6 @@ struct BlockInfo
 
     // Hot-coverage lifecycle (cold blocks).
     HotState hot_state = HotState::Eligible;
-    int32_t hot_version = -1;  //!< Hot block id when hot_state == Covered.
     uint32_t hot_fail_count = 0; //!< Aborted hot sessions for this block.
     bool hot_queued = false;   //!< In the hot-candidate queue; makes
                                //!< re-registration O(1).

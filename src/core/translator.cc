@@ -690,6 +690,16 @@ Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
     rec_.span(flight::Kind::ColdXlate, xlate_cost, eip, info->id,
               info->insn_count);
 
+    // The interior of a loaded trace starts covered, as the recording
+    // run left it: otherwise every side exit and tail of an adopted
+    // trace would heat (and hot-chain) a duplicate trace of code the
+    // store already holds.
+    persist::ArtifactStore *store = options.persist;
+    if (store && store->coversInterior(eip) && !store->hasRecordsAt(eip)) {
+        info->hot_state = HotState::Covered;
+        disableHeat(info);
+    }
+
     cold_map_[eip].push_back({spec, info});
     blocks_.push_back(std::move(info_holder));
     return info;
@@ -1135,7 +1145,6 @@ Translator::commitHotArtifact(HotArtifact &art)
                 entry.target = info->cache_entry;
                 entry.exit_reason = ExitReason::None;
                 entry.stop = true;
-                v.block->hot_version = info->id;
                 v.block->hot_state = HotState::Covered;
             }
         }
@@ -1151,7 +1160,6 @@ Translator::commitHotArtifact(HotArtifact &art)
         for (Variant &v : it->second) {
             if (!v.block->invalidated &&
                 v.block->hot_state == HotState::Eligible) {
-                v.block->hot_version = info->id;
                 v.block->hot_state = HotState::Covered;
                 disableHeat(v.block);
             }
@@ -1219,7 +1227,7 @@ Translator::adoptPersisted(uint32_t eip, const SpecContext &spec)
             }
         }
         if (!smc_ok) {
-            store->stats.add("persist.smc_rejected");
+            store->rejectSmc(rec);
             rec_.emit(flight::Kind::PersistReject, eip,
                       static_cast<int64_t>(ProvCause::SmcMismatch));
             continue;

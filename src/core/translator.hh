@@ -126,9 +126,12 @@ class Translator
      */
     BlockInfo *adoptPersisted(uint32_t eip, const SpecContext &spec);
 
-    /** Does the attached store hold records at @p eip? The runtime's
-     *  hot-chaining path checks this so a LinkMiss into covered code
-     *  adopts the persisted trace instead of re-translating it. */
+    /** Does the attached store hold a record whose entry is @p eip?
+     *  The runtime's hot-chaining path checks this so a LinkMiss into
+     *  a stored entry adopts the persisted trace instead of
+     *  re-translating it. (Trace interiors are the store's
+     *  coversInterior() index: their cold blocks start covered, which
+     *  already keeps chaining off them.) */
     bool persistCovers(uint32_t eip) const;
 
     /** Simulated cycles one session over @p input occupies a worker. */

@@ -1,6 +1,7 @@
 #include "harness/native.hh"
 
 #include "ipf/machine.hh"
+#include "support/bitfield.hh"
 #include "support/logging.hh"
 
 namespace el::harness
@@ -198,7 +199,10 @@ nativeStream(const WorkloadParams &p)
 {
     NB nb;
     mem::Memory memory;
-    uint64_t table = nat_data + p.size + 4096;
+    // 8-byte table entries: keep them aligned for any buffer size, or
+    // every lookup pays the misalignment penalty (the slack page below
+    // absorbs the padding).
+    uint64_t table = alignUp(nat_data + p.size + 4096, 8);
     memory.map(nat_data, p.size + 4096 + 256 * 8 + 4096, mem::PermRW);
 
     // r10 buffer, r11 table, r12 outer, r13 inner, r14 acc, r15 addr.

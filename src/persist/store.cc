@@ -432,6 +432,7 @@ ArtifactStore::record(HotRecord rec)
             existing->spec_tag == rec.spec_tag &&
             existing->spec_mmx_domain == rec.spec_mmx_domain &&
             existing->spec_xmm_format == rec.spec_xmm_format) {
+            unindexInterior(existing.get());
             *existing = std::move(rec);
             stats.add("persist.records_replaced");
             return;
@@ -455,8 +456,48 @@ ArtifactStore::dropAt(uint32_t eip)
         body.u32(eip);
         journalFrame(jkind_drop, body.buf);
     }
-    stats.add("persist.dropped", it->second.size());
+    stats.add("persist.dropped", eraseAt(eip));
+}
+
+size_t
+ArtifactStore::eraseAt(uint32_t eip)
+{
+    auto it = records_.find(eip);
+    if (it == records_.end())
+        return 0;
+    for (const auto &rec : it->second)
+        unindexInterior(rec.get());
+    size_t n = it->second.size();
     records_.erase(it);
+    return n;
+}
+
+void
+ArtifactStore::indexInterior(const HotRecord *rec)
+{
+    if (!indexed_.insert(rec).second)
+        return;
+    for (uint32_t eip : rec->covered_eips)
+        ++interior_[eip];
+}
+
+void
+ArtifactStore::unindexInterior(const HotRecord *rec)
+{
+    if (indexed_.erase(rec) == 0)
+        return;
+    for (uint32_t eip : rec->covered_eips) {
+        auto it = interior_.find(eip);
+        if (it != interior_.end() && --it->second == 0)
+            interior_.erase(it);
+    }
+}
+
+void
+ArtifactStore::rejectSmc(const HotRecord *rec)
+{
+    stats.add("persist.smc_rejected");
+    unindexInterior(rec);
 }
 
 std::vector<const HotRecord *>
@@ -596,18 +637,22 @@ ArtifactStore::insertLoaded(HotRecord &&rec)
 {
     // Same replace-by-(eip, spec) policy as record(), but bypassing
     // the sealed check: loading a sealed store is how its records get
-    // in memory in the first place.
+    // in memory in the first place. Loaded records, unlike recorded
+    // ones, feed the interior-coverage index.
     auto &vec = records_[rec.entry_eip];
     for (auto &existing : vec) {
         if (existing->spec_tos == rec.spec_tos &&
             existing->spec_tag == rec.spec_tag &&
             existing->spec_mmx_domain == rec.spec_mmx_domain &&
             existing->spec_xmm_format == rec.spec_xmm_format) {
+            unindexInterior(existing.get());
             *existing = std::move(rec);
+            indexInterior(existing.get());
             return;
         }
     }
     vec.push_back(std::make_unique<HotRecord>(std::move(rec)));
+    indexInterior(vec.back().get());
 }
 
 bool
@@ -838,7 +883,7 @@ ArtifactStore::replayJournal(const std::string &path)
             ++applied;
         } else if (kind == jkind_drop && flen == 4) {
             Reader pr(payload, flen);
-            records_.erase(pr.u32());
+            eraseAt(pr.u32());
             ++applied;
         } else {
             stats.add("persist.rejected_invalid");

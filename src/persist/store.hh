@@ -42,6 +42,8 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -140,6 +142,8 @@ class ArtifactStore
         fp_ = fp;
         records_.clear();
         missed_.clear();
+        interior_.clear();
+        indexed_.clear();
         sealed_ = false;
     }
 
@@ -173,6 +177,29 @@ class ArtifactStore
 
     /** All live records at @p eip (pointers valid until mutation). */
     std::vector<const HotRecord *> recordsAt(uint32_t eip) const;
+
+    /**
+     * Is @p eip an interior block of a trace this store loaded from
+     * disk? The recording run marked such blocks covered when their
+     * trace committed; the translator replays that decision for the
+     * cold blocks a warm run creates there, so it does not rebuild
+     * what a loaded trace already holds. Only load() and journal
+     * replay feed the index — records made in this process never
+     * count — and dropAt(), resetFingerprint(), rejectSmc() and a
+     * replacing record() take a record's interiors back out.
+     */
+    bool
+    coversInterior(uint32_t eip) const
+    {
+        return interior_.count(eip) != 0;
+    }
+
+    /**
+     * Count an adoption-time SMC rejection of @p rec
+     * (persist.smc_rejected): the guest patched that code since the
+     * store was written, so its interiors stop counting as covered.
+     */
+    void rejectSmc(const HotRecord *rec);
 
     /** Count a probe that found nothing usable (once per distinct
      *  EIP, so the counter reads as "blocks we could not warm-start"
@@ -264,6 +291,13 @@ class ArtifactStore
   private:
     void insertLoaded(HotRecord &&rec);
 
+    /** Add (or take back) @p rec's covered interiors to the index. */
+    void indexInterior(const HotRecord *rec);
+    void unindexInterior(const HotRecord *rec);
+
+    /** Erase every record at @p eip, unindexing their interiors. */
+    size_t eraseAt(uint32_t eip);
+
     /** Replay one journal file over the in-memory record set; returns
      *  the number of frames applied (adds + drops). Fail-soft: a torn
      *  tail frame is counted (persist.rejected_truncated) and every
@@ -277,6 +311,10 @@ class ArtifactStore
     bool sealed_ = false;
     std::map<uint32_t, std::vector<std::unique_ptr<HotRecord>>> records_;
     std::set<uint32_t> missed_; //!< Distinct-EIP miss dedup.
+    /** Interior EIP -> live loaded records covering it. */
+    std::unordered_map<uint32_t, uint32_t> interior_;
+    /** Loaded records whose interiors are in interior_. */
+    std::unordered_set<const HotRecord *> indexed_;
 
     int journal_fd_ = -1;                  //!< POSIX fd; -1 = closed.
     std::string journal_path_;             //!< Path of the open journal.

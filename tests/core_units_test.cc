@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the translator's analysis and back end: region
  * discovery and block splitting, EFlags liveness, the scheduler's
- * group legality and renaming, plus BTLib (handshake, personalities)
- * and the guest loader.
+ * group legality and renaming, plus BTLib (handshake, personalities),
+ * the guest loader and the native-kernel baselines.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,8 @@
 #include "core/emit_env.hh"
 #include "core/sched.hh"
 #include "guest/image.hh"
+#include "guest/workloads.hh"
+#include "harness/native.hh"
 #include "ia32/assembler.hh"
 #include "ipf/machine.hh"
 
@@ -275,6 +277,26 @@ TEST(GuestLoader, WritableCodeStaysWritable)
     mem::Memory m;
     guest::load(img, m);
     EXPECT_TRUE(m.check(Layout::code_base, 2, mem::PermRWX));
+}
+
+// ----- native baselines -------------------------------------------------
+
+TEST(NativeBaseline, StreamTableAlignedForAnyBufferSize)
+{
+    // The stream kernel's 8-byte lookup table sits past the byte
+    // buffer. One more buffer byte must cost one more inner iteration
+    // per outer pass, not a misaligned load on every lookup.
+    guest::Workload w;
+    w.kernel = "stream";
+    w.params.outer_iters = 4;
+    w.params.size = 24000;
+    double even = harness::nativeCycles(w);
+    w.params.size = 24001;
+    double odd = harness::nativeCycles(w);
+
+    double per_iter = even / (4.0 * 24000);
+    EXPECT_GT(odd, even);
+    EXPECT_LT(odd - even, 4 * per_iter * 2);
 }
 
 } // namespace

@@ -2,11 +2,14 @@
  * @file
  * Tests for the persistent translation-artifact store: fingerprint
  * sensitivity, save/load round trips, warm-start determinism against a
- * cold run across pipeline thread counts, SMC invalidation of loaded
- * artifacts, the hardened loader's corruption matrix (truncation, bit
- * flips, bad magic, bad version — always a clean cold fallback, never
- * a crash or silently wrong code), and `el_aot`-style validation
- * scrubbing a store poisoned by an injected miscompile.
+ * cold run across pipeline thread counts, big-code warm starts that
+ * cover loaded traces' interiors instead of rebuilding them (and the
+ * index behind that only ever replaying loaded decisions), SMC
+ * invalidation of loaded artifacts, the hardened loader's corruption
+ * matrix (truncation, bit flips, bad magic, bad version — always a
+ * clean cold fallback, never a crash or silently wrong code), and
+ * `el_aot`-style validation scrubbing a store poisoned by an injected
+ * miscompile.
  */
 
 #include <gtest/gtest.h>
@@ -304,6 +307,155 @@ TEST(PersistWarmStart, SmcGuardsApplyToLoadedArtifacts)
                   warm.runtime->translator().stats.get(
                       "smc.invalidations"),
               0u);
+}
+
+// ----- warm starts cover trace interiors --------------------------------
+
+/** gcc at test size: flat big code whose traces side-exit and fall off
+ *  their tails into interior blocks a warm run has never run cold. */
+Workload
+bigCode()
+{
+    guest::WorkloadParams p;
+    p.outer_iters = 600;
+    p.size = 0;
+    p.code_copies = 60;
+    return guest::buildBigCode("gcc", p);
+}
+
+TEST(PersistWarmStart, BigCodeRerunTranslatesNoHotTrace)
+{
+    TempDir dir("bigcode");
+    TempDir resaved("bigcode_resaved");
+    Workload w = bigCode();
+    persist::ArtifactStore writer;
+    harness::TranslatedRun cold = coldRunInto(writer, w);
+    ASSERT_TRUE(cold.outcome.exited);
+    ASSERT_GT(writer.recordCount(), 0u);
+    ASSERT_TRUE(writer.save(dir.str()));
+
+    for (unsigned threads : {0u, 1u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        core::Options opts = baseOpts(threads);
+        persist::ArtifactStore store(persist::fingerprintOf(w.image, opts));
+        ASSERT_TRUE(store.load(dir.str()));
+        size_t loaded = store.recordCount();
+        opts.persist = &store;
+        harness::TranslatedRun warm =
+            harness::runTranslated(w.image, w.params.abi, opts);
+
+        std::string why;
+        EXPECT_TRUE(sameGuestOutcome(cold.outcome, warm.outcome, &why))
+            << why;
+        // Every trace comes from the store: a trace interior reached
+        // by a side exit starts covered instead of heating a duplicate.
+        const StatGroup &xl = warm.runtime->translator().stats;
+        EXPECT_EQ(xl.get("xlate.hot_blocks"), 0u);
+        EXPECT_GT(store.stats.get("persist.hits"), 0u);
+        EXPECT_EQ(store.stats.get("persist.hits"),
+                  xl.get("persist.adopted_blocks"));
+        EXPECT_LT(warm.outcome.cycles, cold.outcome.cycles);
+
+        // Nothing new to write back: the rerun's store stays the size
+        // it was loaded at.
+        ASSERT_TRUE(store.save(resaved.str()));
+        EXPECT_LE(store.stats.get("persist.records_saved"), loaded);
+    }
+}
+
+TEST(PersistWarmStart, EmptyStoreRunMatchesNoStoreCycles)
+{
+    // A first `--cache-dir` run: an empty store attached and
+    // journaling. Records made in this process never cover interiors,
+    // so the run must cost exactly what a run without a store does.
+    TempDir dir("empty_first_run");
+    Workload w = bigCode();
+    harness::TranslatedRun plain =
+        harness::runTranslated(w.image, w.params.abi, baseOpts());
+
+    core::Options opts = baseOpts();
+    persist::ArtifactStore store(persist::fingerprintOf(w.image, opts));
+    ASSERT_FALSE(store.load(dir.str()));
+    ASSERT_TRUE(store.openJournal(dir.str()));
+    opts.persist = &store;
+    harness::TranslatedRun first =
+        harness::runTranslated(w.image, w.params.abi, opts);
+    store.closeJournal();
+
+    EXPECT_GT(store.recordCount(), 0u);
+    EXPECT_EQ(first.outcome.cycles, plain.outcome.cycles);
+    EXPECT_EQ(first.runtime->translator().stats.get("xlate.hot_blocks"),
+              plain.runtime->translator().stats.get("xlate.hot_blocks"));
+}
+
+/** A minimal valid record at @p entry covering @p interiors. */
+persist::HotRecord
+handRecord(uint32_t entry, std::vector<uint32_t> interiors)
+{
+    persist::HotRecord rec;
+    rec.entry_eip = entry;
+    rec.proto.entry_eip = entry;
+    rec.proto.cache_entry = 0;
+    rec.proto.cache_end = 1;
+    rec.code.resize(1);
+    rec.covered_eips = std::move(interiors);
+    return rec;
+}
+
+TEST(PersistStore, InteriorIndexOnlyReplaysLoadedDecisions)
+{
+    TempDir dir("interior_index");
+    persist::Fingerprint fp;
+    fp.image_hash = 0x1234;
+    fp.entry = 0x1000;
+
+    // Recorded in this process: stored, but never an interior.
+    persist::ArtifactStore writer(fp);
+    writer.record(handRecord(0x1000, {0x1010, 0x1020}));
+    writer.record(handRecord(0x2000, {0x1020, 0x2010}));
+    EXPECT_FALSE(writer.coversInterior(0x1010));
+    EXPECT_FALSE(writer.coversInterior(0x2010));
+    ASSERT_TRUE(writer.save(dir.str()));
+
+    persist::ArtifactStore store(fp);
+    ASSERT_TRUE(store.load(dir.str()));
+    for (uint32_t eip : {0x1010u, 0x1020u, 0x2010u})
+        EXPECT_TRUE(store.coversInterior(eip)) << std::hex << eip;
+    EXPECT_FALSE(store.coversInterior(0x1000)); // an entry, not interior
+
+    // A quarantine purge takes only that record's interiors out; the
+    // shared one stays covered by the other record.
+    store.dropAt(0x1000);
+    EXPECT_FALSE(store.coversInterior(0x1010));
+    EXPECT_TRUE(store.coversInterior(0x1020));
+
+    // An adoption-time SMC rejection keeps the record but no longer
+    // trusts its interiors.
+    std::vector<const persist::HotRecord *> recs = store.recordsAt(0x2000);
+    ASSERT_EQ(recs.size(), 1u);
+    store.rejectSmc(recs[0]);
+    EXPECT_EQ(store.stats.get("persist.smc_rejected"), 1u);
+    EXPECT_TRUE(store.hasRecordsAt(0x2000));
+    EXPECT_FALSE(store.coversInterior(0x1020));
+    EXPECT_FALSE(store.coversInterior(0x2010));
+
+    // Journal replay feeds the index exactly like the store file.
+    TempDir jdir("interior_index_journal");
+    persist::ArtifactStore journaled(fp);
+    ASSERT_TRUE(journaled.openJournal(jdir.str()));
+    journaled.record(handRecord(0x3000, {0x3010}));
+    journaled.closeJournal();
+    EXPECT_FALSE(journaled.coversInterior(0x3010));
+    persist::ArtifactStore replayed(fp);
+    ASSERT_TRUE(replayed.load(jdir.str()));
+    EXPECT_TRUE(replayed.coversInterior(0x3010));
+
+    // A fresh identity forgets the index with the records.
+    persist::ArtifactStore again(fp);
+    ASSERT_TRUE(again.load(dir.str()));
+    ASSERT_TRUE(again.coversInterior(0x2010));
+    again.resetFingerprint(fp);
+    EXPECT_FALSE(again.coversInterior(0x2010));
 }
 
 // ----- corruption matrix ------------------------------------------------
