@@ -13,6 +13,7 @@
 
 #include "core/layout.hh"
 #include "ia32/regs.hh"
+#include "ipf/insn.hh"
 
 namespace el::core
 {
@@ -109,7 +110,6 @@ struct ExitStub
 {
     int64_t cache_index = -1;  //!< The Exit instruction to patch.
     uint32_t target_eip = 0;
-    bool patched = false;
 };
 
 /** FP/MMX/SSE guard expectations of a block head (section 5). */
@@ -162,6 +162,18 @@ struct BlockInfo
 
     // Superseded by a newer translation (kept for stable ids).
     bool invalidated = false;
+
+    // Resync target (cold blocks): the precise re-execution block for a
+    // failed chk.s or a dead entry. Found only by Resync dispatch, never
+    // redirected to a hot version and never heats, so re-executing it
+    // cannot land back in the trace that failed.
+    bool precise = false;
+
+    // Hot redirection (cold blocks): the hot block whose entry this
+    // block's entry instruction now branches to, and the instruction it
+    // replaced, restored when that hot block dies.
+    int32_t redirect_to = -1;
+    ipf::Instr redirect_saved;
 
     // Adopted from a persistent artifact store rather than translated
     // in this process (observability: report + el_prof origin marks).

@@ -733,13 +733,29 @@ EmitEnv::emitSmcGuard(uint32_t guest_addr, uint64_t expected_bytes,
                       uint32_t window)
 {
     setBucket(ipf::Bucket::Overhead);
-    int16_t a = immGr(guest_addr);
-    int16_t v = newGr();
-    Il ld = mk(IpfOp::Ld);
-    ld.dst = v;
-    ld.src1 = a;
-    ld.ins.size = 8;
-    emit(ld);
+    // Naturally aligned loads only: an unaligned 8-byte load would pay
+    // the OS misalignment fix-up on every block entry. An unaligned
+    // window [addr, addr+8) is the high bytes of one aligned word and
+    // the low bytes of the next; both words lie on the window's pages.
+    auto load8 = [&](uint32_t at) {
+        int16_t v = newGr();
+        Il ld = mk(IpfOp::Ld);
+        ld.dst = v;
+        ld.src1 = immGr(at);
+        ld.ins.size = 8;
+        emit(ld);
+        return v;
+    };
+    uint32_t skew = guest_addr % 8;
+    int16_t v = load8(guest_addr - skew);
+    if (skew != 0) {
+        int16_t lo = newGr(), hi = newGr(), both = newGr();
+        emitOp(IpfOp::ShrUImm, lo, v, -1, 8 * skew);
+        emitOp(IpfOp::ShlImm, hi, load8(guest_addr - skew + 8), -1,
+               64 - 8 * skew);
+        emitOp(IpfOp::Or, both, lo, hi);
+        v = both;
+    }
     int16_t exp = immGr(static_cast<int64_t>(expected_bytes));
     int16_t p = newPr(), p2 = newPr();
     Il c = mk(IpfOp::Cmp);

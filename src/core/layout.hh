@@ -42,6 +42,15 @@ enum XmmRep : uint8_t
     XmmPd = 2,  //!< FR pair holds two doubles as FP values.
 };
 
+/** Offset of the lookup-table entry for guest @p eip: bits [2, 12)
+ *  of the EIP pick one of 1024 direct-mapped entries (the hash
+ *  EmitEnv::endIndirect emits). */
+constexpr int64_t
+lookupSlot(uint32_t eip)
+{
+    return lookup_table + static_cast<int64_t>((eip >> 2) & 0x3ff) * 16;
+}
+
 /** Nibble of register @p i inside the format word. */
 constexpr uint32_t
 formatShift(unsigned i)

@@ -339,7 +339,7 @@ Runtime::chargeTranslatorOverhead()
 }
 
 int64_t
-Runtime::dispatchEntry(uint32_t eip, bool force_cold, bool fresh_cold)
+Runtime::dispatchEntry(uint32_t eip, bool precise)
 {
     if (sentinel_ && sentinel_->interpretGate(eip)) {
         // Quarantined EIP: refuse to translate or hand out an entry —
@@ -351,9 +351,8 @@ Runtime::dispatchEntry(uint32_t eip, bool force_cold, bool fresh_cold)
     flight_.emit(flight::Kind::Dispatch, eip,
                  static_cast<int64_t>(dispatch_lookups_));
     SpecContext spec = currentSpec();
-    BlockInfo *block = force_cold
-        ? translator_->dispatchCold(eip, spec, fresh_cold)
-        : translator_->dispatch(eip, spec);
+    BlockInfo *block = precise ? translator_->dispatchPrecise(eip, spec)
+                               : translator_->dispatch(eip, spec);
     chargeTranslatorOverhead();
     if (!block)
         return -1;
@@ -1018,8 +1017,7 @@ Runtime::run(ia32::State &state)
 
     loadContext(state);
     uint32_t next_eip = state.eip;
-    bool force_cold_once = false;
-    bool fresh_cold_once = false;
+    bool resync_once = false;
     if (profiler_)
         profiler_->resync(next_eip);
 
@@ -1041,8 +1039,7 @@ Runtime::run(ia32::State &state)
             if (!finishRegionCheck(RegionEnd::Boundary, mstate, 0,
                                    nullptr)) {
                 next_eip = ck_eip_;
-                force_cold_once = false;
-                fresh_cold_once = false;
+                resync_once = false;
             }
         }
 
@@ -1051,8 +1048,7 @@ Runtime::run(ia32::State &state)
             // interpreter oracle and count down its quarantine.
             stats_.add("sentinel.gated_dispatches");
             sentinel_->tickCooldown(next_eip);
-            force_cold_once = false;
-            fresh_cold_once = false;
+            resync_once = false;
             if (!interpretFallback(&state, &result, &next_eip))
                 return result;
             continue;
@@ -1096,10 +1092,8 @@ Runtime::run(ia32::State &state)
         if (options_.checkpointer)
             options_.checkpointer->maybeCheckpoint(*this, next_eip);
 
-        int64_t entry = dispatchEntry(next_eip, force_cold_once,
-                                      fresh_cold_once);
-        force_cold_once = false;
-        fresh_cold_once = false;
+        int64_t entry = dispatchEntry(next_eip, resync_once);
+        resync_once = false;
         if (entry < 0) {
             if (translator_->takeInjectedAbort()) {
                 // Injected translation abort: fall back to the
@@ -1200,7 +1194,7 @@ Runtime::run(ia32::State &state)
                 // hot session on it would only duplicate work.)
                 SpecContext spec = currentSpec();
                 BlockInfo *cold =
-                    translator_->dispatchCold(target, spec, false);
+                    translator_->dispatchCold(target, spec);
                 if (cold && cold->kind == BlockKind::Cold &&
                     cold->hot_state == HotState::Eligible) {
                     if (hot_pipeline_) {
@@ -1214,7 +1208,7 @@ Runtime::run(ia32::State &state)
                     chargeTranslatorOverhead();
                 }
             }
-            int64_t tentry = dispatchEntry(target, false);
+            int64_t tentry = dispatchEntry(target);
             // While a hot session for the exiting block is in flight
             // its exits stay unlinked — every traversal must keep
             // stopping here so the finished artifact can be adopted.
@@ -1233,12 +1227,10 @@ Runtime::run(ia32::State &state)
           case ExitReason::IndirectMiss: {
             uint32_t target = static_cast<uint32_t>(stop.payload);
             stats_.add("exits.indirect_miss");
-            int64_t tentry = dispatchEntry(target, false);
+            int64_t tentry = dispatchEntry(target);
             if (tentry >= 0) {
                 // Install the fast-lookup entry.
-                uint64_t h = bits(target, 2, 10);
-                uint64_t eaddr =
-                    rt_base_ + rt::lookup_table + h * 16;
+                uint64_t eaddr = rt_base_ + rt::lookupSlot(target);
                 mem_.writePriv(eaddr, 8, target);
                 mem_.writePriv(eaddr + 8, 8,
                                static_cast<uint64_t>(tentry));
@@ -1346,11 +1338,10 @@ Runtime::run(ia32::State &state)
 
           case ExitReason::Resync: {
             stats_.add("exits.resync");
-            // Speculation failed or a block was invalidated: re-execute
-            // the region cold, precisely.
+            // Speculation failed (or a dead entry was reached):
+            // re-execute the region through its precise cold block.
             next_eip = static_cast<uint32_t>(stop.payload);
-            force_cold_once = true;
-            fresh_cold_once = true;
+            resync_once = true;
             break;
           }
 

@@ -135,9 +135,9 @@ class Runtime
     /** Entry-condition snapshot from the runtime status bytes. */
     SpecContext currentSpec() const;
 
-    /** Find/translate the block for @p eip; returns its cache entry. */
-    int64_t dispatchEntry(uint32_t eip, bool force_cold,
-                          bool fresh_cold = false);
+    /** Find/translate the block for @p eip; returns its cache entry.
+     *  @p precise selects the Resync target (dispatchPrecise()). */
+    int64_t dispatchEntry(uint32_t eip, bool precise = false);
 
     /** Recover from a speculation guard failure. */
     void recoverGuard(BlockInfo *block, int64_t payload_kind);

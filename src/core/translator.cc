@@ -1,5 +1,7 @@
 #include "core/translator.hh"
 
+#include <algorithm>
+
 #include "ia32/decoder.hh"
 #include "persist/store.hh"
 #include "support/faultinject.hh"
@@ -106,6 +108,27 @@ Translator::blockById(int32_t id)
 }
 
 BlockInfo *
+Translator::findCold(uint32_t eip, const SpecContext &spec, bool precise)
+{
+    auto cit = cold_map_.find(eip);
+    if (cit == cold_map_.end())
+        return nullptr;
+    for (Variant &v : cit->second)
+        if (v.block->precise == precise && specMatches(*v.block, spec))
+            return v.block;
+    return nullptr;
+}
+
+MisalignStage
+Translator::coldStage(uint32_t eip) const
+{
+    auto mit = misalign_.find(eip);
+    return mit != misalign_.end() && mit->second.observed
+               ? MisalignStage::Detailed
+               : MisalignStage::Light;
+}
+
+BlockInfo *
 Translator::dispatch(uint32_t eip, const SpecContext &spec)
 {
     auto hit = hot_map_.find(eip);
@@ -121,37 +144,23 @@ Translator::dispatch(uint32_t eip, const SpecContext &spec)
         if (BlockInfo *adopted = adoptPersisted(eip, spec))
             return adopted;
     }
-    auto cit = cold_map_.find(eip);
-    if (cit != cold_map_.end()) {
-        for (Variant &v : cit->second)
-            if (specMatches(*v.block, spec))
-                return v.block;
-    }
-    MisalignStage stage = MisalignStage::Light;
-    auto mit = misalign_.find(eip);
-    if (mit != misalign_.end() && mit->second.observed)
-        stage = MisalignStage::Detailed;
-    return translateCold(eip, spec, stage);
+    return dispatchCold(eip, spec);
 }
 
 BlockInfo *
-Translator::dispatchCold(uint32_t eip, const SpecContext &spec,
-                         bool fresh_variant)
+Translator::dispatchCold(uint32_t eip, const SpecContext &spec)
 {
-    if (!fresh_variant) {
-        auto cit = cold_map_.find(eip);
-        if (cit != cold_map_.end()) {
-            for (Variant &v : cit->second)
-                if (specMatches(*v.block, spec))
-                    return v.block;
-        }
-    }
-    auto mit = misalign_.find(eip);
-    MisalignStage stage =
-        (mit != misalign_.end() && mit->second.observed)
-            ? MisalignStage::Detailed
-            : MisalignStage::Light;
-    return translateCold(eip, spec, stage);
+    if (BlockInfo *b = findCold(eip, spec, false))
+        return b;
+    return translateCold(eip, spec, coldStage(eip));
+}
+
+BlockInfo *
+Translator::dispatchPrecise(uint32_t eip, const SpecContext &spec)
+{
+    if (BlockInfo *b = findCold(eip, spec, true))
+        return b;
+    return translateCold(eip, spec, coldStage(eip), true);
 }
 
 void
@@ -203,7 +212,6 @@ Translator::unlinkBlockExits(BlockInfo *block)
         in.exit_reason = ExitReason::LinkMiss;
         in.exit_payload = s.target_eip;
         in.target = -1;
-        s.patched = false;
     }
     rec_.emit(flight::Kind::ExitUnlink, block->entry_eip, block->id);
 }
@@ -217,13 +225,49 @@ Translator::recordMisalignment(uint32_t block_eip)
 }
 
 void
+Translator::retireBlock(BlockInfo &block)
+{
+    block.invalidated = true;
+    if (block.cache_entry < 0)
+        return;
+    cache_.invalidateEntry(block.cache_entry, ExitReason::Resync,
+                           block.entry_eip);
+    stats.add("links.unlinked", cache_.unlinkIncoming(block.cache_entry));
+
+    uint64_t slot = rt_base_ + rt::lookupSlot(block.entry_eip);
+    uint64_t tag = 0, target = 0;
+    mem_.readPriv(slot, 8, &tag);
+    mem_.readPriv(slot + 8, 8, &target);
+    if (tag == block.entry_eip &&
+        target == static_cast<uint64_t>(block.cache_entry)) {
+        mem_.writePriv(slot, 8, 0);
+        mem_.writePriv(slot + 8, 8, 0);
+    }
+
+    if (block.kind != BlockKind::Hot)
+        return;
+    auto cit = cold_map_.find(block.entry_eip);
+    if (cit == cold_map_.end())
+        return;
+    for (Variant &v : cit->second) {
+        BlockInfo &cold = *v.block;
+        if (cold.redirect_to != block.id)
+            continue;
+        cold.redirect_to = -1;
+        if (cold.invalidated)
+            continue;
+        cache_.at(cold.cache_entry) = cold.redirect_saved;
+        cold.hot_state = HotState::Eligible;
+        enableHeat(&cold); // silenced if its session ran pipelined
+    }
+}
+
+void
 Translator::discardHotBlock(BlockInfo *block)
 {
     if (!block || block->invalidated)
         return;
-    block->invalidated = true;
-    cache_.invalidateEntry(block->cache_entry, ExitReason::Resync,
-                           block->entry_eip);
+    retireBlock(*block);
     MisalignHistory &h = misalign_[block->entry_eip];
     h.force_avoid = true;
     stats.add("hot.discarded_for_misalignment");
@@ -236,10 +280,7 @@ Translator::quarantineBlock(BlockInfo *block, ProvCause cause)
 {
     if (!block || block->invalidated)
         return;
-    block->invalidated = true;
-    if (block->cache_entry >= 0)
-        cache_.invalidateEntry(block->cache_entry, ExitReason::Resync,
-                               block->entry_eip);
+    retireBlock(*block);
     stats.add("sentinel.blocks_quarantined");
     // Convicted code must never ship: purge every store record at this
     // entry so the next save cannot resurrect it in another process.
@@ -292,9 +333,7 @@ Translator::invalidateRange(uint32_t addr, uint32_t len)
             hit = ip >= addr && ip < addr + len;
         }
         if (hit) {
-            b.invalidated = true;
-            cache_.invalidateEntry(b.cache_entry, ExitReason::Resync,
-                                   b.entry_eip);
+            retireBlock(b);
             rec_.emit(flight::Kind::BlockDiscard, b.entry_eip, b.id,
                       static_cast<int64_t>(ProvCause::SmcWrite));
             ++dropped;
@@ -312,13 +351,9 @@ Translator::regenerateForMisalignment(uint32_t eip,
     // Invalidate existing variants at this EIP; regenerate at stage 2.
     auto cit = cold_map_.find(eip);
     if (cit != cold_map_.end()) {
-        for (Variant &v : cit->second) {
-            if (!v.block->invalidated) {
-                v.block->invalidated = true;
-                cache_.invalidateEntry(v.block->cache_entry,
-                                       ExitReason::Resync, eip);
-            }
-        }
+        for (Variant &v : cit->second)
+            if (!v.block->invalidated)
+                retireBlock(*v.block);
         cold_map_.erase(cit);
     }
     stats.add("misalign.block_regenerations");
@@ -478,7 +513,7 @@ Translator::finishInto(EmitEnv &env, BlockInfo *info,
     for (const auto &stub : env.pending_stubs) {
         int64_t ci = res.il_to_cache[stub.il_index + off];
         el_assert(ci >= 0, "stub IL lost in scheduling");
-        info->stubs.push_back({ci, stub.target_eip, false});
+        info->stubs.push_back({ci, stub.target_eip});
     }
     tally->groups = res.groups;
     tally->dead_removed = res.dead_removed;
@@ -505,7 +540,7 @@ Translator::finishBlock(EmitEnv &env, BlockInfo *info, bool reorder)
 
 BlockInfo *
 Translator::translateCold(uint32_t eip, const SpecContext &spec,
-                          MisalignStage stage)
+                          MisalignStage stage, bool precise)
 {
     // The flag must describe this attempt only: an abort injected at a
     // tolerant call site (link patching, hot chaining) must not latch
@@ -519,7 +554,7 @@ Translator::translateCold(uint32_t eip, const SpecContext &spec,
         return nullptr;
     }
     maybeFlushForRoom();
-    BlockInfo *info = translateColdImpl(eip, spec, stage, true);
+    BlockInfo *info = translateColdImpl(eip, spec, stage, precise, true);
     if (info && info->cache_entry >= 0 &&
         faultInjected(FaultSite::Miscompile)) {
         FaultInjector *fi = activeFaultInjector();
@@ -532,7 +567,8 @@ Translator::translateCold(uint32_t eip, const SpecContext &spec,
 
 BlockInfo *
 Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
-                              MisalignStage stage, bool allow_flush_retry)
+                              MisalignStage stage, bool precise,
+                              bool allow_flush_retry)
 {
     Region region = discoverRegion(mem_, eip, options.analysis_window);
     computeFlagsLiveness(region);
@@ -546,6 +582,7 @@ Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
     info->kind = BlockKind::Cold;
     info->entry_eip = eip;
     info->misalign_stage = stage;
+    info->precise = precise;
     info->insn_count = static_cast<uint32_t>(bb->insns.size());
 
     EmitEnv env(options, Phase::Cold, info->id, spec);
@@ -564,7 +601,7 @@ Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
         if (cache_.overCapacity() && allow_flush_retry) {
             stats.add("recover.cache_overflow_retry");
             flushCodeCache();
-            return translateColdImpl(eip, spec, stage, false);
+            return translateColdImpl(eip, spec, stage, precise, false);
         }
         rec_.emit(flight::Kind::FaultStub, eip, info->id);
         cold_map_[eip].push_back({spec, info});
@@ -578,7 +615,7 @@ Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
             (static_cast<uint32_t>(bb->insns.size()) * 2 + 8) * 4);
     }
 
-    if (!bb->insns.empty() && bb->insns.back().op == Op::Jcc)
+    if (!precise && !bb->insns.empty() && bb->insns.back().op == Op::Jcc)
         info->edge_ctr_off = allocProfile(4);
 
     // Generate the block; on renaming-pool exhaustion (possible for
@@ -649,7 +686,7 @@ Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
         attempt.emitFpGuard(&info->guard);
         attempt.emitMmxGuard(&info->guard);
         attempt.emitXmmGuard(&info->guard);
-        if (options.enable_hot_phase) {
+        if (options.enable_hot_phase && !precise) {
             if (info->use_ctr_off < 0)
                 info->use_ctr_off = allocProfile(4);
             if (info->use_ctr_off >= 0)
@@ -677,7 +714,7 @@ Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
         // (including it) and rebuild once into the fresh generation.
         stats.add("recover.cache_overflow_retry");
         flushCodeCache();
-        return translateColdImpl(eip, spec, stage, false);
+        return translateColdImpl(eip, spec, stage, precise, false);
     }
 
     info->misalign_accesses = access_count;
@@ -721,17 +758,26 @@ Translator::selectTrace(const Region &region, uint32_t eip, bool *loops)
         insns += static_cast<unsigned>(cur->insns.size());
         if (cur->ends_indirect || cur->ends_stop || cur->insns.empty())
             break;
+        if (mem_.check(cur->start, 1, mem::PermWrite) &&
+            std::any_of(cur->insns.begin(), cur->insns.end(),
+                        ia32::writesMemory))
+            break;
         const Insn &last = cur->insns.back();
         uint32_t next = 0;
         if (last.op == Op::Jcc) {
             // Follow the hotter edge using the cold block's counters.
             uint32_t taken_n = 0, use_n = 1;
+            // (Precise blocks carry no counters; skip them.)
             auto cit = cold_map_.find(cur->start);
-            if (cit != cold_map_.end() && !cit->second.empty()) {
-                const BlockInfo *cb = cit->second.front().block;
-                if (cb->use_ctr_off >= 0)
+            if (cit != cold_map_.end()) {
+                auto v = std::find_if(
+                    cit->second.begin(), cit->second.end(),
+                    [](const Variant &x) { return !x.block->precise; });
+                const BlockInfo *cb =
+                    v == cit->second.end() ? nullptr : v->block;
+                if (cb && cb->use_ctr_off >= 0)
                     use_n = std::max(1u, readCounter(cb->use_ctr_off));
-                if (cb->edge_ctr_off >= 0)
+                if (cb && cb->edge_ctr_off >= 0)
                     taken_n = readCounter(cb->edge_ctr_off);
             }
             next = (2 * taken_n >= use_n) ? cur->taken : cur->fall;
@@ -1137,9 +1183,12 @@ Translator::commitHotArtifact(HotArtifact &art)
     auto cit = cold_map_.find(info->entry_eip);
     if (cit != cold_map_.end()) {
         for (Variant &v : cit->second) {
-            if (!v.block->invalidated &&
+            if (!v.block->invalidated && !v.block->precise &&
                 specMatches(*info, v.spec)) {
                 ipf::Instr &entry = cache_.at(v.block->cache_entry);
+                if (v.block->redirect_to < 0)
+                    v.block->redirect_saved = entry;
+                v.block->redirect_to = info->id;
                 entry.op = IpfOp::Br;
                 entry.qp = 0;
                 entry.target = info->cache_entry;

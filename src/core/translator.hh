@@ -56,13 +56,23 @@ class Translator
      */
     BlockInfo *dispatch(uint32_t eip, const SpecContext &spec);
 
-    /** Cold-only dispatch used for Resync re-execution. */
-    BlockInfo *dispatchCold(uint32_t eip, const SpecContext &spec,
-                            bool fresh_variant);
+    /** Cold-only dispatch (hot chaining reads the cold block's hot
+     *  state before deciding to translate hot). */
+    BlockInfo *dispatchCold(uint32_t eip, const SpecContext &spec);
 
-    /** Translate one cold block at the given misalignment stage. */
+    /**
+     * Resync dispatch: the one precise cold block at @p eip for
+     * @p spec, translated on first use and reused after that. A
+     * precise block is never redirected to a hot version and carries
+     * no heat counter, so re-executing a failed chk.s region through
+     * it cannot re-enter the trace that failed.
+     */
+    BlockInfo *dispatchPrecise(uint32_t eip, const SpecContext &spec);
+
+    /** Translate one cold block at the given misalignment stage
+     *  (@p precise: a Resync target, see dispatchPrecise()). */
     BlockInfo *translateCold(uint32_t eip, const SpecContext &spec,
-                             MisalignStage stage);
+                             MisalignStage stage, bool precise = false);
 
     /**
      * Build a hot trace rooted at @p entry_eip (the block that hit the
@@ -263,6 +273,23 @@ class Translator
     /** Does @p spec satisfy the entry conditions of @p block? */
     static bool specMatches(const BlockInfo &block, const SpecContext &spec);
 
+    /** The live cold variant at @p eip matching @p spec whose precise
+     *  flag equals @p precise, or null. */
+    BlockInfo *findCold(uint32_t eip, const SpecContext &spec,
+                        bool precise);
+
+    /** Misalignment stage a new cold block at @p eip starts in. */
+    MisalignStage coldStage(uint32_t eip) const;
+
+    /**
+     * Retire a translation: mark it invalidated, turn its entry into a
+     * Resync exit, and leave nothing live pointing at it — patched
+     * links into it revert to LinkMiss exits, the indirect-lookup slot
+     * naming it is cleared, and (for a hot block) the cold entries
+     * redirected to it are restored and may heat again.
+     */
+    void retireBlock(BlockInfo &block);
+
     /**
      * Allocate @p bytes in the profile area; returns the offset, or -1
      * when the area is exhausted (callers skip their counters — the
@@ -275,7 +302,7 @@ class Translator
 
     /** Cold translation body; @p allow_flush_retry bounds recursion. */
     BlockInfo *translateColdImpl(uint32_t eip, const SpecContext &spec,
-                                 MisalignStage stage,
+                                 MisalignStage stage, bool precise,
                                  bool allow_flush_retry);
 
     /** Translate the final control transfer of a block/trace. Pure
@@ -319,7 +346,12 @@ class Translator
                                    int64_t hi,
                                    const std::function<uint64_t(uint64_t)> &pick);
 
-    /** Select the hot trace starting at @p eip. */
+    /**
+     * Select the hot trace starting at @p eip. The trace ends after
+     * any block that stores to guest memory from a writable code page:
+     * the trace's SMC guards run once at its head, so a store into its
+     * own inlined code would otherwise be followed by the stale copy.
+     */
     std::vector<const BasicBlock *>
     selectTrace(const Region &region, uint32_t eip, bool *loops);
 

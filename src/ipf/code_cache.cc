@@ -20,7 +20,31 @@ CodeCache::patchToBranch(int64_t idx, int64_t target)
     i.target = target;
     // Keep the reason/payload as inert metadata: the machine ignores
     // them on a Br, but the execution profiler identifies a patched
-    // conditional-exit probe (and its guest target) by them.
+    // conditional-exit probe (and its guest target) by them, and
+    // unlinkIncoming() restores the exit from them.
+    incoming_[target].push_back(idx);
+}
+
+uint64_t
+CodeCache::unlinkIncoming(int64_t target)
+{
+    std::lock_guard<std::mutex> lk(*publish_mu_);
+    auto it = incoming_.find(target);
+    if (it == incoming_.end())
+        return 0;
+    uint64_t n = 0;
+    for (int64_t idx : it->second) {
+        // A site may have been unlinked (and re-linked elsewhere) since.
+        Instr &i = code_[idx];
+        if (i.op != IpfOp::Br || i.target != target ||
+            i.exit_reason != ExitReason::LinkMiss)
+            continue;
+        i.op = IpfOp::Exit;
+        i.target = -1;
+        ++n;
+    }
+    incoming_.erase(it);
+    return n;
 }
 
 void
@@ -51,6 +75,7 @@ CodeCache::flushAll()
 {
     std::lock_guard<std::mutex> lk(*publish_mu_);
     code_.clear();
+    incoming_.clear();
     ++generation_;
 }
 

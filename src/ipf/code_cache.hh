@@ -9,7 +9,8 @@
  *  - converting an exit-to-translator stub into a direct branch once the
  *    target block is translated ("connect predecessors"), and
  *  - invalidating a block (SMC / misalignment regeneration / GC) by
- *    turning its entry into a Resync exit.
+ *    turning its entry into a Resync exit, and reverting every branch
+ *    patched into it back to its exit stub.
  *
  * The cache can be bounded: setCapacity() installs a cap, exhausted()
  * reports when the next translation would not fit (or when the
@@ -26,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "ipf/insn.hh"
@@ -57,9 +59,17 @@ class CodeCache
 
     /**
      * Patch the exit stub at @p idx into a direct branch to @p target.
-     * Used when a block's successor becomes available.
+     * Used when a block's successor becomes available. The link is
+     * remembered so unlinkIncoming() can revert it.
      */
     void patchToBranch(int64_t idx, int64_t target);
+
+    /**
+     * Revert every still-patched link into the block entry at
+     * @p target back to its LinkMiss exit (the block is being retired).
+     * Returns the number of links reverted.
+     */
+    uint64_t unlinkIncoming(int64_t target);
 
     /**
      * Invalidate the block entry at @p idx: further executions exit to
@@ -129,6 +139,8 @@ class CodeCache
     size_t capacity_ = 0;
     size_t high_water_ = 0;
     uint64_t generation_ = 0;
+    /** Link sites patched into each block entry (target -> exits). */
+    std::unordered_map<int64_t, std::vector<int64_t>> incoming_;
     /** Publication lock (unique_ptr keeps the cache movable). */
     std::unique_ptr<std::mutex> publish_mu_ =
         std::make_unique<std::mutex>();

@@ -286,7 +286,6 @@ decodeRecord(const uint8_t *data, size_t n, HotRecord &rec)
     for (core::ExitStub &s : p.stubs) {
         s.cache_index = r.i64();
         s.target_eip = r.u32();
-        s.patched = false;
     }
 
     uint32_t recovery_count = r.u32();

@@ -262,8 +262,6 @@ class ArtifactStore
     /** Flush pending frames and close the journal fd. */
     void closeJournal();
 
-    bool journalOpen() const { return journal_fd_ >= 0; }
-
     /** Frames recorded since the last flush (cheap dirtiness probe
      *  for the runtime's adoption-boundary hook). */
     bool journalDirty() const { return !journal_pending_.empty(); }

@@ -226,13 +226,6 @@ class Profiler
     const BoundedRing<Sample> &samples() const { return samples_; }
     uint64_t samplesDropped() const { return samples_.dropped(); }
 
-    /** Cached canonical block at @p entry; null if never resolved. */
-    const GuestBlock *blockAt(uint32_t entry) const
-    {
-        auto it = blocks_.find(entry);
-        return it == blocks_.end() ? nullptr : &it->second;
-    }
-
     const std::map<uint32_t, GuestBlock> &blocks() const
     {
         return blocks_;

@@ -22,8 +22,11 @@ namespace
 using btlib::OsAbi;
 using guest::Workload;
 
+/** Diff @p w against the interpreter; the translated run is handed
+ *  back through @p keep for further checks. */
 void
-diffWorkload(const Workload &w, core::Options opts = {})
+diffWorkload(const Workload &w, core::Options opts = {},
+             harness::TranslatedRun *keep = nullptr)
 {
     harness::Outcome ref = harness::runInterpreter(w.image, w.params.abi);
     harness::TranslatedRun tr =
@@ -40,6 +43,8 @@ diffWorkload(const Workload &w, core::Options opts = {})
     EXPECT_TRUE(ref.final_state.equalsArch(got.final_state, &why))
         << w.name << " state mismatch: " << why;
     EXPECT_EQ(ref.final_state.eip, got.final_state.eip) << w.name;
+    if (keep)
+        *keep = std::move(tr);
 }
 
 const Workload &
@@ -98,6 +103,31 @@ TEST(AdversarialWorkloads, RewritersActuallyTriggerSmc)
         EXPECT_GE(tr.runtime->translator().stats.get("smc.invalidations"),
                   1u)
             << name;
+    }
+}
+
+TEST(AdversarialWorkloads, InvalidationCostsTrackChangedCode)
+{
+    // SMC invalidation and Resync must cost in proportion to the code
+    // that changed, not to how often it runs: guards never pay the
+    // misalignment fix-up, and a Resync target is translated once and
+    // reused rather than once per traversal.
+    std::vector<Workload> suite = guest::adversarialSuite();
+    for (const char *name :
+         {"jit_rewriter", "threaded_smc", "sigstorm", "sigstorm_win"}) {
+        for (unsigned threads : {0u, 4u}) {
+            SCOPED_TRACE(std::string(name) + " threads " +
+                         std::to_string(threads));
+            core::Options opts;
+            opts.translation_threads = threads;
+            opts.deterministic_adoption = threads > 0;
+            harness::TranslatedRun tr;
+            diffWorkload(byName(suite, name), opts, &tr);
+            ASSERT_TRUE(tr.runtime);
+            EXPECT_EQ(tr.runtime->machine().misalignedAccesses(), 0u);
+            EXPECT_LE(tr.runtime->translator().stats.get("xlate.cold_blocks"),
+                      200u);
+        }
     }
 }
 

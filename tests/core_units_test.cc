@@ -205,6 +205,50 @@ TEST(Sched, DeadIlsRemovedOnlyWhenReordering)
     EXPECT_EQ(cold.dead_removed, 0u);
 }
 
+TEST(SmcGuard, GuardsExactlyItsWindowWithAlignedLoads)
+{
+    // The guard covers [eip, eip+8) at every alignment of eip, using
+    // naturally aligned loads only (no misalignment fix-up per entry).
+    constexpr uint32_t page = 0x40000;
+    for (uint32_t skew = 0; skew < 8; ++skew) {
+        mem::Memory m;
+        m.map(page, 4096, mem::PermRW);
+        for (uint32_t k = 0; k < 4096; ++k)
+            m.writePriv(page + k, 1, (k * 37 + 11) & 0xff);
+        const uint32_t eip = page + 64 + skew;
+        uint64_t expected = 0;
+        m.readPriv(eip, 8, &expected);
+
+        core::EmitEnv env(core::Options{}, core::Phase::Cold, 0,
+                          core::SpecContext{});
+        env.beginHead();
+        env.emitSmcGuard(eip, expected, 8);
+        env.endExit(ipf::ExitReason::Halt, 0);
+        ipf::CodeCache cache;
+        core::ScheduleResult res = core::schedule(
+            env.head.ils, cache, core::Options{}, false, false, nullptr);
+        ASSERT_TRUE(res.ok);
+        ipf::Machine mach(cache, m);
+
+        EXPECT_EQ(mach.run(res.entry).reason, ipf::ExitReason::Halt)
+            << "skew " << skew;
+        for (int d = -1; d <= 8; ++d) {
+            uint64_t old = 0;
+            m.readPriv(eip + d, 1, &old);
+            m.writePriv(eip + d, 1, old ^ 0x5a);
+            ipf::StopInfo stop = mach.run(res.entry);
+            bool guarded = d >= 0 && d < 8;
+            EXPECT_EQ(stop.reason, guarded ? ipf::ExitReason::SmcDetected
+                                           : ipf::ExitReason::Halt)
+                << "skew " << skew << " byte " << d;
+            if (guarded)
+                EXPECT_EQ(stop.payload, (int64_t{8} << 32) | eip);
+            m.writePriv(eip + d, 1, old);
+        }
+        EXPECT_EQ(mach.misalignedAccesses(), 0u) << "skew " << skew;
+    }
+}
+
 TEST(Btlib, HandshakeAcceptsMatchingVersions)
 {
     mem::Memory m;

@@ -669,6 +669,34 @@ TEST(CodeCachePatch, LinkExitBecomesBranch)
     EXPECT_EQ(m.gr(10), 42u);
 }
 
+TEST(CodeCachePatch, UnlinkIncomingRevertsOnlyLiveLinksToTarget)
+{
+    Emitter e;
+    mem::Memory mem;
+    int64_t a = e.exit(ExitReason::LinkMiss, 0x8048000);
+    int64_t b = e.exit(ExitReason::LinkMiss, 0x8048000);
+    int64_t c = e.exit(ExitReason::LinkMiss, 0x8049000);
+    int64_t blk = e.movl(10, 42);
+    e.exit(ExitReason::Halt);
+    int64_t other = e.movl(11, 7);
+    e.exit(ExitReason::Halt);
+    e.code.patchToBranch(a, blk);
+    e.code.patchToBranch(b, blk);
+    e.code.patchToBranch(c, other);
+    // b was unlinked and re-linked elsewhere since: not a link to blk.
+    e.code.at(b).op = IpfOp::Exit;
+    e.code.patchToBranch(b, other);
+
+    EXPECT_EQ(e.code.unlinkIncoming(blk), 1u);
+    EXPECT_EQ(e.code.unlinkIncoming(blk), 0u);
+    Machine m(e.code, mem);
+    StopInfo s = m.run(a);
+    EXPECT_EQ(s.reason, ExitReason::LinkMiss);
+    EXPECT_EQ(s.payload, 0x8048000);
+    EXPECT_EQ(e.code.at(b).op, IpfOp::Br);
+    EXPECT_EQ(e.code.at(c).op, IpfOp::Br);
+}
+
 TEST(CodeCachePatch, InvalidateEntry)
 {
     Emitter e;

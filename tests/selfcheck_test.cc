@@ -219,6 +219,40 @@ TEST(Selfcheck, CleanRunsNeverDiverge)
     }
 }
 
+TEST(Selfcheck, HotSmcRewritersNeverDiverge)
+{
+    // Hot traces over writable code: a trace must never store into its
+    // own inlined code and then run the stale copy, and a reused Resync
+    // block must never outlive the bytes it was translated from.
+    std::vector<Workload> suite = guest::adversarialSuite();
+    for (const Workload &w : suite) {
+        if (w.name != "jit_rewriter" && w.name != "threaded_smc")
+            continue;
+        for (unsigned threads : {0u, 1u, 4u}) {
+            sentinel::Config cfg;
+            cfg.selfcheck_rate = 1;
+            sentinel::Sentinel sent(cfg);
+            core::Options opts = baseOpts(threads, threads > 0);
+            opts.sentinel = &sent;
+            harness::TranslatedRun run =
+                harness::runTranslated(w.image, w.params.abi, opts);
+            ASSERT_FALSE(run.outcome.internal_error)
+                << w.name << ": " << run.outcome.internal_reason;
+            EXPECT_TRUE(run.outcome.exited) << w.name;
+            EXPECT_EQ(sent.totalDivergences(), 0u)
+                << w.name << " threads " << threads;
+            // Translations over the rewritten pages really are reused
+            // (no per-traversal retranslation hides a stale copy), and
+            // hot traces over them ran under the oracle.
+            const StatGroup &xs = run.runtime->translator().stats;
+            EXPECT_LE(xs.get("xlate.cold_blocks"), 200u)
+                << w.name << " threads " << threads;
+            EXPECT_GE(xs.get("xlate.hot_blocks"), 1u)
+                << w.name << " threads " << threads;
+        }
+    }
+}
+
 // ----- zero perturbation when attached-but-clean ------------------------
 
 TEST(Selfcheck, AttachedSentinelCostsZeroCycles)
