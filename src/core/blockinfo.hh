@@ -29,8 +29,11 @@ enum class BlockKind : uint8_t
 enum class HotState : uint8_t
 {
     Eligible,   //!< May register as a hot candidate and be promoted.
-    Covered,    //!< A hot trace covers this block (a live one, or a
-                //!< loaded store trace that holds it as interior).
+    Covered,    //!< Heat silenced because hot code holds the block:
+                //!< a live trace committed with it as its redirected
+                //!< entry or an interior, or a loaded store trace holds
+                //!< it as interior. Back to Eligible (heat re-armed)
+                //!< when the last live trace holding its EIP retires.
     PinnedCold, //!< Hot translation failed hot_retry_limit times;
                 //!< permanently executes as cold code.
 };
@@ -159,6 +162,10 @@ struct BlockInfo
 
     // Precise state (hot blocks).
     std::vector<RecoveryMap> recovery; //!< Indexed by commit id.
+
+    // Hot coverage (hot blocks): the interior cold-block EIPs this
+    // trace holds besides its entry, released when it retires.
+    std::vector<uint32_t> covered_eips;
 
     // Superseded by a newer translation (kept for stable ids).
     bool invalidated = false;

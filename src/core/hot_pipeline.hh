@@ -103,7 +103,6 @@ struct HotArtifact
     bool injected_abort = false; //!< Failed via FaultSite::HotXlateAbort.
 
     SpecContext spec;            //!< Entry conditions (from the input).
-    std::vector<uint32_t> covered_eips; //!< Interior trace entries.
     /** SMC guard windows carried from the input: the persistence layer
      *  stores them with the artifact so a warm run can re-validate a
      *  loaded trace against live guest memory before adopting it. */
@@ -113,8 +112,9 @@ struct HotArtifact
 
     /**
      * Proto block metadata: everything except the final id and cache
-     * placement (assigned at commit). ExitStub cache indices and
-     * recovery maps are staging-relative / staging-independent.
+     * placement (assigned at commit), including the interior EIPs the
+     * trace covers. ExitStub cache indices and recovery maps are
+     * staging-relative / staging-independent.
      */
     BlockInfo proto;
     ipf::CodeCache staging;      //!< Emitted code at indices [0, n).

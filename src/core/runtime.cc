@@ -694,11 +694,12 @@ Runtime::adoptHotResults()
                          static_cast<int64_t>(art.seq),
                          static_cast<int64_t>(stall > 0 ? stall : 0));
         } else if (cold && !cold->invalidated &&
-                   cold->hot_state == HotState::Eligible) {
+                   cold->hot_state != HotState::PinnedCold) {
             // Failed or discarded session (a stale-generation discard
             // leaves the cold block invalidated and skips this):
             // bounded retry, and re-arm the counter silenced at
-            // enqueue so the block can register again.
+            // enqueue so the block can register again (a Covered
+            // block, chained from a hot exit, stays silent).
             noteHotFailure(cold);
             if (cold->hot_state == HotState::Eligible)
                 translator_->enableHeat(cold);
@@ -821,7 +822,11 @@ Runtime::armCheckpoint(uint32_t eip)
     journal_.exclude_hi = rt_base_ + rt::area_size;
     mem_.setWriteJournal(&journal_);
     visit_log_.clear();
-    machine_->setVisitLog(&visit_log_);
+    // Cap the region at the oracle's replay budget, counted in IPF
+    // instructions (IA-32 instructions expand to about five each, so
+    // the replay fits): a fully linked loop would otherwise run past
+    // what the replay may step and be convicted for it.
+    machine_->setVisitLog(&visit_log_, sentinel_->config().replay_budget);
     ck_armed_ = true;
     stats_.add("sentinel.checked");
 }
@@ -1133,6 +1138,17 @@ Runtime::run(ia32::State &state)
             return result;
         }
         el_assert(stop.kind != StopKind::BadIp, "machine left the cache");
+        if (stop.kind == StopKind::RegionCap) {
+            // The checked region reached its cap at a block entry:
+            // end it there (the top of the loop verifies it) and
+            // resume at that block.
+            BlockInfo *next = translator_->blockById(
+                cache_.at(stop.instr_index).meta.block_id);
+            el_assert(next && stop.instr_index == next->cache_entry,
+                      "region cap stopped inside a block");
+            next_eip = next->entry_eip;
+            continue;
+        }
 
         // Copy, not reference: dispatch below may flush the cache,
         // which would leave a reference dangling.
@@ -1182,9 +1198,12 @@ Runtime::run(ia32::State &state)
             // Any translation below may flush the cache; never patch
             // an exit index from a dead generation.
             uint64_t gen = cache_.generation();
-            // Hot-to-hot chaining: when hot code falls off its trace
-            // tail, extend the hot tiling at the target immediately
-            // instead of decaying into cold execution.
+            // Hot-to-hot chaining: when any exit of hot code (a side
+            // exit or the trace tail) reaches a target with no live hot
+            // entry, extend the hot tiling there immediately instead of
+            // decaying into cold execution. A Covered target is chained
+            // too: it is the interior of a trace that only its own entry
+            // reaches, so its cold block would otherwise never heat.
             if (block && block->kind == BlockKind::Hot &&
                 options_.enable_hot_phase &&
                 !translator_->persistCovers(target) &&
@@ -1193,10 +1212,13 @@ Runtime::run(ia32::State &state)
                 // below adopts the persisted trace, so spending a local
                 // hot session on it would only duplicate work.)
                 SpecContext spec = currentSpec();
-                BlockInfo *cold =
-                    translator_->dispatchCold(target, spec);
+                BlockInfo *cold = translator_->findHot(target, spec)
+                                      ? nullptr
+                                      : translator_->dispatchCold(target,
+                                                                  spec);
                 if (cold && cold->kind == BlockKind::Cold &&
-                    cold->hot_state == HotState::Eligible) {
+                    cold->hot_state != HotState::PinnedCold &&
+                    !cold->hot_inflight) {
                     if (hot_pipeline_) {
                         enqueueHot(cold, spec);
                     } else if (translator_->translateHot(target,

@@ -68,6 +68,7 @@ Translator::flushCodeCache()
     }
     cold_map_.clear();
     hot_map_.clear();
+    live_cover_.clear();
     cache_.flushAll();
 
     // Stale EIP -> cache-index mappings in the indirect fast-lookup
@@ -129,14 +130,22 @@ Translator::coldStage(uint32_t eip) const
 }
 
 BlockInfo *
-Translator::dispatch(uint32_t eip, const SpecContext &spec)
+Translator::findHot(uint32_t eip, const SpecContext &spec)
 {
     auto hit = hot_map_.find(eip);
-    if (hit != hot_map_.end()) {
-        for (Variant &v : hit->second)
-            if (specMatches(*v.block, spec))
-                return v.block;
-    }
+    if (hit == hot_map_.end())
+        return nullptr;
+    for (Variant &v : hit->second)
+        if (specMatches(*v.block, spec))
+            return v.block;
+    return nullptr;
+}
+
+BlockInfo *
+Translator::dispatch(uint32_t eip, const SpecContext &spec)
+{
+    if (BlockInfo *hot = findHot(eip, spec))
+        return hot;
     // Persisted artifacts are preferred over cold translation for the
     // same reason live hot versions are preferred over cold blocks: a
     // store hit skips both phases for this EIP.
@@ -247,18 +256,72 @@ Translator::retireBlock(BlockInfo &block)
     if (block.kind != BlockKind::Hot)
         return;
     auto cit = cold_map_.find(block.entry_eip);
+    if (cit != cold_map_.end()) {
+        for (Variant &v : cit->second) {
+            BlockInfo &cold = *v.block;
+            if (cold.redirect_to != block.id)
+                continue;
+            cold.redirect_to = -1;
+            if (!cold.invalidated)
+                cache_.at(cold.cache_entry) = cold.redirect_saved;
+        }
+    }
+    releaseCover(block.entry_eip);
+    for (uint32_t ceip : block.covered_eips)
+        releaseCover(ceip);
+}
+
+bool
+Translator::storeCoversInterior(uint32_t eip) const
+{
+    persist::ArtifactStore *store = options.persist;
+    return store && store->coversInterior(eip) && !store->hasRecordsAt(eip);
+}
+
+bool
+Translator::hotHolds(uint32_t eip) const
+{
+    persist::ArtifactStore *store = options.persist;
+    if (store && (store->hasRecordsAt(eip) || store->coversInterior(eip)))
+        return true;
+    auto hit = hot_map_.find(eip);
+    if (hit != hot_map_.end())
+        for (const Variant &v : hit->second)
+            if (!v.block->invalidated)
+                return true;
+    // A live interior holds the block once its cold block is Covered.
+    // An interior that had not yet run cold when its trace committed
+    // was only a guess of the trace's path, so it stays claimable.
+    auto cit = cold_map_.find(eip);
+    if (cit != cold_map_.end())
+        for (const Variant &v : cit->second)
+            if (!v.block->invalidated &&
+                v.block->hot_state == HotState::Covered)
+                return true;
+    return false;
+}
+
+void
+Translator::releaseCover(uint32_t eip)
+{
+    auto it = live_cover_.find(eip);
+    if (it == live_cover_.end() || --it->second != 0)
+        return;
+    live_cover_.erase(it);
+    if (storeCoversInterior(eip))
+        return;
+    auto cit = cold_map_.find(eip);
     if (cit == cold_map_.end())
         return;
     for (Variant &v : cit->second) {
         BlockInfo &cold = *v.block;
-        if (cold.redirect_to != block.id)
+        if (cold.invalidated || cold.hot_state != HotState::Covered)
             continue;
-        cold.redirect_to = -1;
-        if (cold.invalidated)
-            continue;
-        cache_.at(cold.cache_entry) = cold.redirect_saved;
         cold.hot_state = HotState::Eligible;
-        enableHeat(&cold); // silenced if its session ran pipelined
+        // An in-flight session keeps the counter silent; adoption
+        // re-arms it if the session fails.
+        if (!cold.hot_inflight)
+            enableHeat(&cold);
     }
 }
 
@@ -731,8 +794,7 @@ Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
     // run left it: otherwise every side exit and tail of an adopted
     // trace would heat (and hot-chain) a duplicate trace of code the
     // store already holds.
-    persist::ArtifactStore *store = options.persist;
-    if (store && store->coversInterior(eip) && !store->hasRecordsAt(eip)) {
+    if (storeCoversInterior(eip)) {
         info->hot_state = HotState::Covered;
         disableHeat(info);
     }
@@ -792,7 +854,7 @@ Translator::selectTrace(const Region &region, uint32_t eip, bool *loops)
             *loops = true;
             break;
         }
-        if (visited.count(next))
+        if (visited.count(next) || hotHolds(next))
             break;
         cur = region.find(next);
     }
@@ -885,7 +947,6 @@ Translator::runHotSession(const HotSessionInput &in,
 {
     out->ok = false;
     out->spec = in.spec;
-    out->covered_eips = in.covered_eips;
     out->smc_guards = in.smc_guards;
     if (faults && faults->shouldFire(FaultSite::HotXlateAbort)) {
         // Injected optimization-session abort; the adopting side's
@@ -899,6 +960,7 @@ Translator::runHotSession(const HotSessionInput &in,
     info->kind = BlockKind::Hot;
     info->entry_eip = in.entry_eip;
     info->insn_count = in.trace_insns * in.copies;
+    info->covered_eips = in.covered_eips;
 
     // The block id is unknown until commit; publish() re-stamps
     // meta.block_id on every staged instruction (hot code never bakes
@@ -1122,7 +1184,6 @@ Translator::commitHotArtifact(HotArtifact &art)
         rec.spec_mmx_domain = art.spec.mmx_domain;
         rec.spec_xmm_format = art.spec.xmm_format;
         rec.proto = art.proto;
-        rec.covered_eips = art.covered_eips;
         rec.smc_guards = art.smc_guards;
         rec.code.reserve(art.staging.size());
         for (int64_t i = 0;
@@ -1201,8 +1262,11 @@ Translator::commitHotArtifact(HotArtifact &art)
 
     // Interior blocks of the trace are covered by this hot version;
     // suppress their own hot registration so overlapping traces are not
-    // built for every entry point along the chain.
-    for (uint32_t ceip : art.covered_eips) {
+    // built for every entry point along the chain. The entry and every
+    // interior join the live-coverage record until this block retires.
+    ++live_cover_[info->entry_eip];
+    for (uint32_t ceip : info->covered_eips) {
+        ++live_cover_[ceip];
         auto it = cold_map_.find(ceip);
         if (it == cold_map_.end())
             continue;
@@ -1294,7 +1358,6 @@ Translator::adoptPersisted(uint32_t eip, const SpecContext &spec)
         art.spec.mmx_domain = rec->spec_mmx_domain;
         art.spec.xmm_format = rec->spec_xmm_format;
         art.proto = rec->proto;
-        art.covered_eips = rec->covered_eips;
         art.smc_guards = rec->smc_guards;
         for (const ipf::Instr &i : rec->code)
             art.staging.emit(i);

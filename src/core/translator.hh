@@ -13,6 +13,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "core/analysis.hh"
@@ -55,6 +56,9 @@ class Translator
      * untranslatable code (undecodable first instruction).
      */
     BlockInfo *dispatch(uint32_t eip, const SpecContext &spec);
+
+    /** The live hot variant at @p eip matching @p spec, or null. */
+    BlockInfo *findHot(uint32_t eip, const SpecContext &spec);
 
     /** Cold-only dispatch (hot chaining reads the cold block's hot
      *  state before deciding to translate hot). */
@@ -114,8 +118,9 @@ class Translator
      * the artifact's generation is stale — a concurrent flushAll() GC
      * means its stubs and profile offsets refer to dead state — or when
      * publication itself would overflow the cache. On success the hot
-     * block is registered, cold entries are redirected and interior
-     * trace blocks are covered, exactly as a synchronous session would.
+     * block is registered, cold entries are redirected, and the entry
+     * and interior EIPs join the live-coverage record (their cold
+     * blocks stop heating), exactly as a synchronous session would.
      * Session statistics carried by the artifact are merged here.
      */
     BlockInfo *commitHotArtifact(HotArtifact &artifact);
@@ -139,9 +144,7 @@ class Translator
     /** Does the attached store hold a record whose entry is @p eip?
      *  The runtime's hot-chaining path checks this so a LinkMiss into
      *  a stored entry adopts the persisted trace instead of
-     *  re-translating it. (Trace interiors are the store's
-     *  coversInterior() index: their cold blocks start covered, which
-     *  already keeps chaining off them.) */
+     *  re-translating it. */
     bool persistCovers(uint32_t eip) const;
 
     /** Simulated cycles one session over @p input occupies a worker. */
@@ -286,9 +289,22 @@ class Translator
      * Resync exit, and leave nothing live pointing at it — patched
      * links into it revert to LinkMiss exits, the indirect-lookup slot
      * naming it is cleared, and (for a hot block) the cold entries
-     * redirected to it are restored and may heat again.
+     * redirected to it are restored and its coverage is released.
      */
     void retireBlock(BlockInfo &block);
+
+    /** Is @p eip the interior of a trace in the loaded store (so its
+     *  cold blocks stay covered without a live holder)? */
+    bool storeCoversInterior(uint32_t eip) const;
+
+    /** Does live hot code or the loaded store already hold @p eip? A
+     *  trace ends before such a block instead of copying it. */
+    bool hotHolds(uint32_t eip) const;
+
+    /** Drop one live holder of @p eip; when the last one goes, its
+     *  covered cold blocks become Eligible and their heat is re-armed
+     *  (unless the loaded store still covers them). */
+    void releaseCover(uint32_t eip);
 
     /**
      * Allocate @p bytes in the profile area; returns the offset, or -1
@@ -351,6 +367,8 @@ class Translator
      * any block that stores to guest memory from a writable code page:
      * the trace's SMC guards run once at its head, so a store into its
      * own inlined code would otherwise be followed by the stale copy.
+     * After its first block it also ends before any block hotHolds():
+     * hot code is tiled once, and the tail exit links to the holder.
      */
     std::vector<const BasicBlock *>
     selectTrace(const Region &region, uint32_t eip, bool *loops);
@@ -361,6 +379,10 @@ class Translator
 
     std::map<uint32_t, std::vector<Variant>> cold_map_;
     std::map<uint32_t, std::vector<Variant>> hot_map_;
+    /** Live-coverage record: per cold-block EIP, the number of live hot
+     *  traces holding it as entry or interior. Added to at commit,
+     *  released by retireBlock(), cleared by flushCodeCache(). */
+    std::unordered_map<uint32_t, uint32_t> live_cover_;
     /** Store records already published this process -> block id, so a
      *  spec-mismatched dispatch never re-publishes a live record. Keys
      *  are only compared, never dereferenced. */

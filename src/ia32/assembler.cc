@@ -250,14 +250,6 @@ Assembler::movRM16(Reg d, const MemRef &m)
 }
 
 void
-Assembler::movMR16(const MemRef &m, Reg s)
-{
-    emit8(0x66);
-    emit8(0x89);
-    emitModRm(s, m);
-}
-
-void
 Assembler::movzxRM8(Reg d, const MemRef &m)
 {
     bytes({0x0f, 0xb6});
@@ -272,20 +264,6 @@ Assembler::movzxRR8(Reg d, Reg8 s)
 }
 
 void
-Assembler::movzxRM16(Reg d, const MemRef &m)
-{
-    bytes({0x0f, 0xb7});
-    emitModRm(d, m);
-}
-
-void
-Assembler::movsxRM8(Reg d, const MemRef &m)
-{
-    bytes({0x0f, 0xbe});
-    emitModRm(d, m);
-}
-
-void
 Assembler::movsxRM16(Reg d, const MemRef &m)
 {
     bytes({0x0f, 0xbf});
@@ -297,13 +275,6 @@ Assembler::lea(Reg d, const MemRef &m)
 {
     emit8(0x8d);
     emitModRm(d, m);
-}
-
-void
-Assembler::xchgRR(Reg a, Reg b)
-{
-    emit8(0x87);
-    emitModRmReg(b, a);
 }
 
 void
@@ -322,13 +293,6 @@ Assembler::pushI(int32_t imm)
         emit8(0x68);
         emit32(static_cast<uint32_t>(imm));
     }
-}
-
-void
-Assembler::pushM(const MemRef &m)
-{
-    emit8(0xff);
-    emitModRm(6, m);
 }
 
 void
@@ -455,20 +419,6 @@ Assembler::decR(Reg r)
 }
 
 void
-Assembler::incM(const MemRef &m)
-{
-    emit8(0xff);
-    emitModRm(0, m);
-}
-
-void
-Assembler::decM(const MemRef &m)
-{
-    emit8(0xff);
-    emitModRm(1, m);
-}
-
-void
 Assembler::negR(Reg r)
 {
     emit8(0xf7);
@@ -501,13 +451,6 @@ Assembler::mulR(Reg s)
 {
     emit8(0xf7);
     emitModRmReg(4, s);
-}
-
-void
-Assembler::imul1R(Reg s)
-{
-    emit8(0xf7);
-    emitModRmReg(5, s);
 }
 
 void
@@ -647,30 +590,6 @@ Assembler::repStosd()
 }
 
 void
-Assembler::repMovsb()
-{
-    bytes({0xf3, 0xa4});
-}
-
-void
-Assembler::repStosb()
-{
-    bytes({0xf3, 0xaa});
-}
-
-void
-Assembler::movsd_str()
-{
-    emit8(0xa5);
-}
-
-void
-Assembler::stosd_str()
-{
-    emit8(0xab);
-}
-
-void
 Assembler::cld()
 {
     emit8(0xfc);
@@ -726,13 +645,6 @@ Assembler::fldM64(const MemRef &m)
 }
 
 void
-Assembler::fldSt(uint8_t i)
-{
-    emit8(0xd9);
-    emit8(static_cast<uint8_t>(0xc0 + (i & 7)));
-}
-
-void
 Assembler::fildM32(const MemRef &m)
 {
     emit8(0xdb);
@@ -751,13 +663,6 @@ Assembler::fstM64(const MemRef &m, bool pop)
 {
     emit8(0xdd);
     emitModRm(pop ? 3 : 2, m);
-}
-
-void
-Assembler::fstSt(uint8_t i, bool pop)
-{
-    emit8(0xdd);
-    emit8(static_cast<uint8_t>((pop ? 0xd8 : 0xd0) + (i & 7)));
 }
 
 void
@@ -911,13 +816,6 @@ Assembler::movdMmR(uint8_t mm, Reg r)
 }
 
 void
-Assembler::movdRMm(Reg r, uint8_t mm)
-{
-    bytes({0x0f, 0x7e});
-    emitModRmReg(mm, r);
-}
-
-void
 Assembler::movqMmM(uint8_t mm, const MemRef &m)
 {
     bytes({0x0f, 0x6f});
@@ -929,13 +827,6 @@ Assembler::movqMMm(const MemRef &m, uint8_t mm)
 {
     bytes({0x0f, 0x7f});
     emitModRm(mm, m);
-}
-
-void
-Assembler::movqMmMm(uint8_t d, uint8_t s)
-{
-    bytes({0x0f, 0x6f});
-    emitModRmReg(d, s);
 }
 
 namespace
@@ -1007,13 +898,6 @@ Assembler::movapsMX(const MemRef &m, uint8_t x)
 {
     bytes({0x0f, 0x29});
     emitModRm(x, m);
-}
-
-void
-Assembler::movapsXX(uint8_t d, uint8_t s)
-{
-    bytes({0x0f, 0x28});
-    emitModRmReg(d, s);
 }
 
 void

@@ -108,17 +108,12 @@ class Assembler
     void movMR8(const MemRef &m, Reg8 s);
     void movMI8(const MemRef &m, uint8_t imm);
     void movRM16(Reg d, const MemRef &m);
-    void movMR16(const MemRef &m, Reg s);
     void movzxRM8(Reg d, const MemRef &m);
     void movzxRR8(Reg d, Reg8 s);
-    void movzxRM16(Reg d, const MemRef &m);
-    void movsxRM8(Reg d, const MemRef &m);
     void movsxRM16(Reg d, const MemRef &m);
     void lea(Reg d, const MemRef &m);
-    void xchgRR(Reg a, Reg b);
     void pushR(Reg r);
     void pushI(int32_t imm);
-    void pushM(const MemRef &m);
     void popR(Reg r);
     void cdq();
     void sahf();
@@ -138,14 +133,11 @@ class Assembler
     void testRI(Reg a, uint32_t imm);
     void incR(Reg r);
     void decR(Reg r);
-    void incM(const MemRef &m);
-    void decM(const MemRef &m);
     void negR(Reg r);
     void notR(Reg r);
     void imulRR(Reg d, Reg s);
     void imulRM(Reg d, const MemRef &m);
     void mulR(Reg s);
-    void imul1R(Reg s);
     void divR(Reg s);
     void idivR(Reg s);
     void shiftRI(Op op, Reg r, uint8_t imm);
@@ -167,10 +159,6 @@ class Assembler
     // ----- strings -------------------------------------------------------
     void repMovsd();
     void repStosd();
-    void repMovsb();
-    void repStosb();
-    void movsd_str();
-    void stosd_str();
     void cld();
 
     // ----- system --------------------------------------------------------
@@ -183,11 +171,9 @@ class Assembler
     // ----- x87 -------------------------------------------------------------
     void fldM32(const MemRef &m);
     void fldM64(const MemRef &m);
-    void fldSt(uint8_t i);
     void fildM32(const MemRef &m);
     void fstM32(const MemRef &m, bool pop);
     void fstM64(const MemRef &m, bool pop);
-    void fstSt(uint8_t i, bool pop);
     void fistpM32(const MemRef &m);
     void fld1();
     void fldz();
@@ -208,10 +194,8 @@ class Assembler
 
     // ----- MMX -------------------------------------------------------------
     void movdMmR(uint8_t mm, Reg r);
-    void movdRMm(Reg r, uint8_t mm);
     void movqMmM(uint8_t mm, const MemRef &m);
     void movqMMm(const MemRef &m, uint8_t mm);
-    void movqMmMm(uint8_t d, uint8_t s);
     /** op in {Paddb..Psubd, Pand, Por, Pxor, Pmullw}; mm, mm form. */
     void pArithMmMm(Op op, uint8_t d, uint8_t s);
     void pArithMmM(Op op, uint8_t d, const MemRef &m);
@@ -220,7 +204,6 @@ class Assembler
     // ----- SSE ---------------------------------------------------------------
     void movapsXM(uint8_t x, const MemRef &m);
     void movapsMX(const MemRef &m, uint8_t x);
-    void movapsXX(uint8_t d, uint8_t s);
     void movupsXM(uint8_t x, const MemRef &m);
     void movupsMX(const MemRef &m, uint8_t x);
     void movssXM(uint8_t x, const MemRef &m);

@@ -366,13 +366,19 @@ Machine::run(int64_t entry, uint64_t max_cycles)
             return stop;
         }
         const Instr &i = code_.at(ip_);
-        accountInstr(i);
-        if (profiler_)
-            profileObserve(i);
         if (visit_log_ && i.meta.block_id != visit_last_) {
+            if (visit_last_ >= 0 && retired_ >= visit_cap_at_) {
+                closeGroup();
+                stop.kind = StopKind::RegionCap;
+                stop.instr_index = ip_;
+                return stop;
+            }
             visit_last_ = i.meta.block_id;
             visit_log_->push(i.meta.block_id);
         }
+        accountInstr(i);
+        if (profiler_)
+            profileObserve(i);
         branched_ = false;
         bool cont = execute(i, &stop);
         ++retired_;

@@ -99,6 +99,8 @@ enum class StopKind : uint8_t
     Exit,        //!< An Exit instruction executed (translator service).
     MemFault,    //!< Unmapped/protected access in translated code.
     CycleLimit,  //!< Budget exhausted (runaway guard).
+    RegionCap,   //!< A visit log's region cap was reached at a block
+                 //!< entry (see setVisitLog()); nothing there has run.
     BadIp,       //!< Jumped outside the code cache.
 };
 
@@ -230,12 +232,18 @@ class Machine
      * a checked region executed. Same contract as the profiler hook:
      * timing untouched, cycle counts bit-identical attached or not,
      * and the detached path is one predictable branch per instruction.
+     * With a nonzero @p region_cap, entering a block once @p region_cap
+     * more instructions have retired stops the machine there
+     * (StopKind::RegionCap) before the block's first instruction: at a
+     * block entry the guest state is in its homes, so the region can
+     * end there and its replay stays bounded.
      */
     void
-    setVisitLog(BoundedRing<int32_t> *log)
+    setVisitLog(BoundedRing<int32_t> *log, uint64_t region_cap = 0)
     {
         visit_log_ = log;
         visit_last_ = -1;
+        visit_cap_at_ = region_cap ? retired_ + region_cap : ~0ULL;
     }
 
     /** Charge synthetic cycles (translator overhead, native time, idle). */
@@ -306,6 +314,8 @@ class Machine
     prof::Profiler *profiler_ = nullptr; //!< Null = profiling off.
     BoundedRing<int32_t> *visit_log_ = nullptr; //!< Null = no log.
     int32_t visit_last_ = -1; //!< Last block id pushed into the log.
+    uint64_t visit_cap_at_ = ~0ULL; //!< retired_ at which the region cap
+                                    //!< stops at the next block entry.
     // Group verification (debug).
     std::array<int8_t, num_grs> grp_gr_writer_{};
     std::array<int8_t, num_frs> grp_fr_writer_{};

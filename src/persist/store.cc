@@ -231,8 +231,8 @@ encodeRecord(Writer &w, const HotRecord &rec)
         w.u8(m.mmx_domain);
     }
 
-    w.u32(static_cast<uint32_t>(rec.covered_eips.size()));
-    for (uint32_t eip : rec.covered_eips)
+    w.u32(static_cast<uint32_t>(p.covered_eips.size()));
+    for (uint32_t eip : p.covered_eips)
         w.u32(eip);
 
     w.u32(static_cast<uint32_t>(rec.smc_guards.size()));
@@ -316,8 +316,8 @@ decodeRecord(const uint8_t *data, size_t n, HotRecord &rec)
     uint32_t covered_count = r.u32();
     if (!r.ok || covered_count > max_covered)
         return false;
-    rec.covered_eips.resize(covered_count);
-    for (uint32_t &eip : rec.covered_eips)
+    p.covered_eips.resize(covered_count);
+    for (uint32_t &eip : p.covered_eips)
         eip = r.u32();
 
     uint32_t guard_count = r.u32();
@@ -476,7 +476,7 @@ ArtifactStore::indexInterior(const HotRecord *rec)
 {
     if (!indexed_.insert(rec).second)
         return;
-    for (uint32_t eip : rec->covered_eips)
+    for (uint32_t eip : rec->proto.covered_eips)
         ++interior_[eip];
 }
 
@@ -485,7 +485,7 @@ ArtifactStore::unindexInterior(const HotRecord *rec)
 {
     if (indexed_.erase(rec) == 0)
         return;
-    for (uint32_t eip : rec->covered_eips) {
+    for (uint32_t eip : rec->proto.covered_eips) {
         auto it = interior_.find(eip);
         if (it != interior_.end() && --it->second == 0)
             interior_.erase(it);

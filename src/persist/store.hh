@@ -114,9 +114,9 @@ struct HotRecord
     uint8_t spec_mmx_domain = 0;
     uint32_t spec_xmm_format = 0;
 
-    core::BlockInfo proto;          //!< Staging-relative metadata.
+    core::BlockInfo proto;          //!< Staging-relative metadata,
+                                    //!< with the covered interiors.
     std::vector<ipf::Instr> code;   //!< Staged instructions [0, n).
-    std::vector<uint32_t> covered_eips;
     /** (guest address, expected bytes) per constituent block on a
      *  writable page; re-checked against live memory at adoption. */
     std::vector<std::pair<uint32_t, uint64_t>> smc_guards;

@@ -2,11 +2,15 @@
  * @file
  * Unit tests for the translator's analysis and back end: region
  * discovery and block splitting, EFlags liveness, the scheduler's
- * group legality and renaming, plus BTLib (handshake, personalities),
- * the guest loader and the native-kernel baselines.
+ * group legality and renaming, hot coverage across trace retirement,
+ * plus BTLib (handshake, personalities), the guest loader and the
+ * native-kernel baselines.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
 
 #include "btlib/os_sim.hh"
 #include "core/analysis.hh"
@@ -14,9 +18,11 @@
 #include "core/sched.hh"
 #include "guest/image.hh"
 #include "guest/workloads.hh"
+#include "harness/exec.hh"
 #include "harness/native.hh"
 #include "ia32/assembler.hh"
 #include "ipf/machine.hh"
+#include "support/strfmt.hh"
 
 namespace el
 {
@@ -321,6 +327,117 @@ TEST(GuestLoader, WritableCodeStaysWritable)
     mem::Memory m;
     guest::load(img, m);
     EXPECT_TRUE(m.check(Layout::code_base, 2, mem::PermRWX));
+}
+
+// ----- hot coverage -----------------------------------------------------
+
+/** How many live hot traces hold @p eip (as entry or interior)? */
+int
+liveHolders(const core::Translator &xl, uint32_t eip)
+{
+    int n = 0;
+    for (const auto &b : xl.allBlocks()) {
+        if (b->kind != core::BlockKind::Hot || b->invalidated)
+            continue;
+        n += b->entry_eip == eip ||
+             std::count(b->covered_eips.begin(), b->covered_eips.end(), eip);
+    }
+    return n;
+}
+
+/** Is @p b's use counter armed (its RegisterHot exit not silenced)? */
+bool
+heatArmed(core::Runtime &rt, const core::BlockInfo &b)
+{
+    for (int64_t i = b.cache_entry; i < b.cache_end; ++i) {
+        const ipf::Instr &in = rt.codeCache().at(i);
+        if (in.exit_reason == ipf::ExitReason::RegisterHot)
+            return in.op == ipf::IpfOp::Exit;
+    }
+    return false;
+}
+
+/** Retire @p hot, then check every cold block at its entry and
+ *  interiors: released ones are Eligible with heat re-armed, the rest
+ *  keep the state they had. Returns how many were released. */
+int
+retireAndCheck(core::Runtime &rt, core::BlockInfo *hot)
+{
+    core::Translator &xl = rt.translator();
+    std::vector<uint32_t> held = hot->covered_eips;
+    held.push_back(hot->entry_eip);
+    std::map<const core::BlockInfo *, core::HotState> before;
+    for (const auto &b : xl.allBlocks())
+        if (b->kind == core::BlockKind::Cold && !b->invalidated)
+            before[b.get()] = b->hot_state;
+
+    int32_t hot_id = hot->id;
+    xl.discardHotBlock(hot);
+
+    int released = 0;
+    for (uint32_t eip : held) {
+        bool still_held = liveHolders(xl, eip) > 0;
+        for (const auto &[b, state] : before) {
+            if (b->entry_eip != eip || b->precise)
+                continue;
+            SCOPED_TRACE(strfmt("cold block %d at %#x", b->id, eip));
+            EXPECT_NE(b->redirect_to, hot_id);
+            if (still_held) {
+                EXPECT_EQ(b->hot_state, state);
+                continue;
+            }
+            EXPECT_EQ(b->hot_state, core::HotState::Eligible);
+            EXPECT_TRUE(heatArmed(rt, *b));
+            released += state == core::HotState::Covered;
+        }
+    }
+    return released;
+}
+
+TEST(HotCoverage, RetiredTraceReleasesInteriorsOnlyWhenUnheld)
+{
+    // Flat big code under synchronous sessions: traces tile the loop
+    // body, and hot exits chain traces whose entries are interiors of
+    // earlier traces.
+    guest::WorkloadParams p;
+    p.outer_iters = 200;
+    p.size = 0;
+    p.code_copies = 16;
+    guest::Workload w = guest::buildBigCode("gcc", p);
+    core::Options o;
+    o.heat_threshold = 16;
+    o.hot_batch = 1;
+    harness::TranslatedRun tr =
+        harness::runTranslated(w.image, w.params.abi, o);
+    ASSERT_TRUE(tr.outcome.exited);
+    core::Translator &xl = tr.runtime->translator();
+
+    // An outer trace with an interior that is also an inner trace's
+    // entry, and held by no third trace.
+    core::BlockInfo *outer = nullptr, *inner = nullptr;
+    for (const auto &b : xl.allBlocks()) {
+        if (b->kind != core::BlockKind::Hot || b->invalidated)
+            continue;
+        for (const auto &h : xl.allBlocks())
+            if (h->kind == core::BlockKind::Hot && !h->invalidated &&
+                std::count(b->covered_eips.begin(), b->covered_eips.end(),
+                           h->entry_eip) &&
+                liveHolders(xl, h->entry_eip) == 2) {
+                outer = b.get();
+                inner = h.get();
+            }
+    }
+    ASSERT_NE(outer, nullptr);
+    uint32_t shared = inner->entry_eip;
+
+    // Retiring the outer trace releases its unheld interiors; the
+    // shared one stays covered by the inner trace's entry.
+    EXPECT_GT(retireAndCheck(*tr.runtime, outer), 0);
+    EXPECT_EQ(liveHolders(xl, shared), 1);
+
+    // Retiring the inner trace then releases the shared block too.
+    EXPECT_GT(retireAndCheck(*tr.runtime, inner), 0);
+    EXPECT_EQ(liveHolders(xl, shared), 0);
 }
 
 // ----- native baselines -------------------------------------------------

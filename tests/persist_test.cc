@@ -363,6 +363,36 @@ TEST(PersistWarmStart, BigCodeRerunTranslatesNoHotTrace)
     }
 }
 
+TEST(PersistWarmStart, BigCodeRerunRunsNoColdSideExits)
+{
+    // The recording run chains a trace at every target a hot exit
+    // reaches, so the store holds hot code wherever an adopted trace
+    // can leave: a warm rerun translates only the few cold blocks that
+    // run before the first stored trace.
+    TempDir dir("bigcode_side_exits");
+    Workload w = bigCode();
+    persist::ArtifactStore writer;
+    harness::TranslatedRun cold = coldRunInto(writer, w);
+    ASSERT_TRUE(cold.outcome.exited);
+    ASSERT_TRUE(writer.save(dir.str()));
+
+    for (unsigned threads : {0u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        core::Options opts = baseOpts(threads);
+        persist::ArtifactStore store(persist::fingerprintOf(w.image, opts));
+        ASSERT_TRUE(store.load(dir.str()));
+        opts.persist = &store;
+        harness::TranslatedRun warm =
+            harness::runTranslated(w.image, w.params.abi, opts);
+
+        std::string why;
+        EXPECT_TRUE(sameGuestOutcome(cold.outcome, warm.outcome, &why))
+            << why;
+        EXPECT_LE(warm.runtime->translator().stats.get("xlate.cold_blocks"),
+                  10u);
+    }
+}
+
 TEST(PersistWarmStart, EmptyStoreRunMatchesNoStoreCycles)
 {
     // A first `--cache-dir` run: an empty store attached and
@@ -398,7 +428,7 @@ handRecord(uint32_t entry, std::vector<uint32_t> interiors)
     rec.proto.cache_entry = 0;
     rec.proto.cache_end = 1;
     rec.code.resize(1);
-    rec.covered_eips = std::move(interiors);
+    rec.proto.covered_eips = std::move(interiors);
     return rec;
 }
 

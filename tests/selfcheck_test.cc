@@ -253,6 +253,37 @@ TEST(Selfcheck, HotSmcRewritersNeverDiverge)
     }
 }
 
+TEST(Selfcheck, LongChainedRegionsNeverDiverge)
+{
+    // Flat big code runs fully linked: without a cap a checked region
+    // runs until the loop ends, past what the oracle may replay, and
+    // correct code is convicted. The region is capped at the replay
+    // budget and ends at the next block entry instead. A small budget
+    // makes every outer iteration longer than one region.
+    guest::WorkloadParams p;
+    p.outer_iters = 720;
+    p.size = 0;
+    p.code_copies = 60;
+    Workload w = guest::buildBigCode("gcc", p);
+    harness::Outcome oracle =
+        harness::runInterpreter(w.image, w.params.abi);
+    for (unsigned threads : {0u, 4u}) {
+        sentinel::Config cfg;
+        cfg.selfcheck_rate = 1;
+        cfg.replay_budget = 1u << 14;
+        sentinel::Sentinel sent(cfg);
+        core::Options opts = baseOpts(threads, threads > 0);
+        opts.sentinel = &sent;
+        harness::TranslatedRun run =
+            harness::runTranslated(w.image, w.params.abi, opts);
+        EXPECT_TRUE(sameGuestOutcome(run.outcome, oracle))
+            << "threads " << threads;
+        EXPECT_EQ(sent.totalDivergences(), 0u) << "threads " << threads;
+        EXPECT_GE(run.runtime->stats().get("sentinel.passed"), 100u)
+            << "threads " << threads;
+    }
+}
+
 // ----- zero perturbation when attached-but-clean ------------------------
 
 TEST(Selfcheck, AttachedSentinelCostsZeroCycles)
