@@ -859,10 +859,8 @@ EmitEnv::emitFpGuard(GuardInfo *out)
 void
 EmitEnv::emitMmxGuard(GuardInfo *out)
 {
-    if (!guard.checks_mmx || !options.enable_mmx_alias_spec ||
-        fpMemoryMode()) {
+    if (!guard.checks_mmx || fpMemoryMode())
         return;
-    }
     out->checks_mmx = true;
     out->expect_domain = guard.expect_domain;
     setBucket(ipf::Bucket::Overhead);

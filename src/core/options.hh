@@ -4,10 +4,12 @@
  *
  * Every design choice the paper calls out is a switch here so the
  * ablation benchmarks (bench/ablation_design_choices) can turn each one
- * off independently: two-phase translation, predication, unrolling,
- * EFlags elimination, FXCH elimination, the three FP/MMX/SSE speculation
- * schemes (with the FX!32-style FP-stack-in-memory fallback), load
- * speculation, block chaining, and misalignment avoidance.
+ * off independently: two-phase translation, unrolling, EFlags
+ * elimination, FXCH elimination, the FP-stack and SSE-format
+ * speculation schemes (with the FX!32-style FP-stack-in-memory
+ * fallback), load speculation, block chaining, address CSE and
+ * misalignment avoidance. A value no caller varies is a constant, not a
+ * field: the shared cost model below, the rest beside their one reader.
  */
 
 #ifndef EL_CORE_OPTIONS_HH
@@ -42,6 +44,18 @@ namespace el::core
 
 class Checkpointer;
 
+// ----- simulated translator costs (charged to Overhead) ------------
+// Fixed values read by more than one file, benches and tests included.
+// Every other fixed value lives beside its one reader.
+constexpr double cold_xlate_cost_per_insn = 60.0; //!< Per IA-32 insn
+                                      //!< of a cold translation.
+constexpr double hot_publish_cost_per_insn = 10.0; //!< Guest stall per
+                                      //!< IA-32 insn when adopting a
+                                      //!< finished hot translation.
+constexpr uint32_t btos_alloc_retries = 8; //!< Attempts for the
+                                      //!< runtime-area allocation
+                                      //!< before InitError.
+
 /** Tunables and feature toggles of the translator. */
 struct Options
 {
@@ -50,26 +64,15 @@ struct Options
                                      //!< the block as hot candidate.
     uint32_t hot_batch = 4;          //!< Candidates buffered before an
                                      //!< optimization session starts.
-    uint32_t second_registration = 2;//!< A block registering this many
-                                     //!< times forces a session (tight
-                                     //!< loops don't wait).
-    unsigned analysis_window = 8;    //!< Neighbouring blocks analysed
-                                     //!< during cold translation (1-20).
     unsigned max_trace_blocks = 8;   //!< Hyper-block size limit.
-    unsigned max_trace_insns = 48;
-    unsigned unroll_factor = 2;      //!< Loop unrolling multiplier.
-    unsigned predication_max_side = 4; //!< Max insns on an if-converted
-                                       //!< side.
 
     // ----- feature toggles (ablations) ------------------------------
     bool enable_hot_phase = true;
-    bool enable_predication = true;
     bool enable_unroll = true;
     bool enable_eflags_elim = true;
     bool enable_fxch_elim = true;
     bool enable_fp_stack_spec = true; //!< false => FP stack in memory
                                       //!< (the FX!32 alternative).
-    bool enable_mmx_alias_spec = true;
     bool enable_sse_format_spec = true;
     bool enable_misalign_avoidance = true;
     bool enable_load_speculation = true;
@@ -77,10 +80,7 @@ struct Options
     bool enable_addr_cse = true;
 
     // ----- simulated translator costs (charged to Overhead) --------
-    double cold_xlate_cost_per_insn = 60.0;
     double hot_xlate_cost_per_insn = 1200.0; //!< ~20x cold (section 2).
-    double runtime_entry_cost = 60.0;        //!< Per exit into BTGeneric.
-    double guard_recovery_cost = 300.0;      //!< FP/SSE guard repair.
 
     // ----- asynchronous hot-translation pipeline --------------------
     uint32_t translation_threads = 0; //!< Hot-session worker threads;
@@ -90,15 +90,9 @@ struct Options
                                       //!< block re-entry boundaries, in
                                       //!< enqueue order, on a simulated
                                       //!< worker timeline (replayable).
-    double hot_enqueue_cost = 200.0;  //!< Guest stall per candidate
-                                      //!< snapshot + enqueue.
-    double hot_publish_cost_per_insn = 10.0; //!< Guest stall per IA-32
-                                      //!< insn when adopting a finished
-                                      //!< hot translation.
 
     // ----- limits ---------------------------------------------------
     uint64_t max_run_cycles = 400ULL * 1000 * 1000;
-    uint32_t lookup_entries = 1024;  //!< Indirect-branch table entries.
 
     // ----- robustness / graceful degradation ------------------------
     uint64_t code_cache_capacity = 0; //!< Max cached IPF instructions;
@@ -107,11 +101,6 @@ struct Options
                                       //!< fewer slots than this remain.
     uint32_t hot_retry_limit = 3;     //!< Failed hot sessions before a
                                       //!< block is pinned cold forever.
-    uint32_t btos_alloc_retries = 8;  //!< Attempts for the runtime-area
-                                      //!< allocation before InitError.
-    uint32_t interp_fallback_insns = 32; //!< Instructions interpreted
-                                         //!< when translation aborts.
-    double cache_flush_cost = 20000.0;   //!< Overhead cycles per flush.
 
     // ----- fault injection (chaos testing; off by default) ----------
     FaultConfig fault;

@@ -29,6 +29,20 @@ namespace
 {
 /** Chrome-capture events kept per host thread (drop-newest). */
 constexpr size_t trace_capture_capacity = 1 << 16;
+
+/** A block registering this many times forces a session (tight loops
+ *  don't wait for a full batch). */
+constexpr uint32_t second_registration = 2;
+
+/** Instructions interpreted when translation aborts. */
+constexpr uint32_t interp_fallback_insns = 32;
+
+// Simulated runtime costs (charged to Overhead / the guest's stall).
+constexpr double runtime_entry_cost = 60.0;  //!< Per exit into BTGeneric.
+constexpr double guard_recovery_cost = 300.0; //!< FP/SSE guard repair.
+constexpr double hot_enqueue_cost = 200.0;   //!< Guest stall per
+                                             //!< candidate snapshot +
+                                             //!< enqueue.
 } // namespace
 
 Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
@@ -56,7 +70,7 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
         if (rt_base_ != 0)
             break;
         stats_.add("recover.btos_alloc_fail");
-        if (attempt + 1 >= options_.btos_alloc_retries) {
+        if (attempt + 1 >= btos_alloc_retries) {
             el_warn("BTLib failed to allocate the runtime area "
                     "(%u attempts)", attempt + 1);
             return;
@@ -462,10 +476,9 @@ Runtime::reconstructHot(const BlockInfo &block, const ipf::Instr &instr,
 void
 Runtime::recoverGuard(BlockInfo *block, int64_t payload_kind)
 {
-    machine_->chargeCycles(Bucket::Overhead,
-                           options_.guard_recovery_cost);
-    fault_overhead_cycles_ += options_.guard_recovery_cost;
-    flight_.span(flight::Kind::GuardRecover, options_.guard_recovery_cost,
+    machine_->chargeCycles(Bucket::Overhead, guard_recovery_cost);
+    fault_overhead_cycles_ += guard_recovery_cost;
+    flight_.span(flight::Kind::GuardRecover, guard_recovery_cost,
                  block->id, payload_kind);
     ipf::Machine &m = *machine_;
     switch (payload_kind) {
@@ -588,7 +601,7 @@ Runtime::registerHot(int32_t block_id)
 
     bool session =
         hot_queue_.size() >= options_.hot_batch ||
-        block->heat_registrations >= options_.second_registration;
+        block->heat_registrations >= second_registration;
     if (!session)
         return;
 
@@ -642,7 +655,7 @@ Runtime::enqueueHot(BlockInfo *cand, const SpecContext &spec)
     double session_cost = translator_->hotSessionCost(c.input);
     // The guest only stalls for the snapshot + enqueue; the session
     // itself runs on a worker. This is the stall the pipeline removes.
-    translator_->chargeHotStall(options_.hot_enqueue_cost);
+    translator_->chargeHotStall(hot_enqueue_cost);
 
     // Silence the use counter while the session is in flight: it exits
     // at the block head on every execution past the threshold, so an
@@ -664,7 +677,7 @@ Runtime::enqueueHot(BlockInfo *cand, const SpecContext &spec)
     uint64_t seq = hot_pipeline_->enqueue(std::move(c), now,
                                           session_cost);
     stats_.add("hot.enqueued");
-    flight_.span(flight::Kind::HotEnqueue, options_.hot_enqueue_cost,
+    flight_.span(flight::Kind::HotEnqueue, hot_enqueue_cost,
                  cand_eip, static_cast<int64_t>(seq), cand_id);
 }
 
@@ -684,7 +697,7 @@ Runtime::adoptHotResults()
             stats_.add("hot.adopted");
             // Publication (relocation + linking) is the only part the
             // guest waits for.
-            double publish_cost = options_.hot_publish_cost_per_insn *
+            double publish_cost = hot_publish_cost_per_insn *
                                   (hot->insn_count + 1);
             translator_->chargeHotStall(publish_cost);
             // How long the finished artifact waited for a block
@@ -717,7 +730,7 @@ Runtime::interpretFallback(ia32::State *state, RunResult *result,
     // never notices, then hand back to translated execution.
     storeContext(state, *next_eip);
     ia32::Interpreter interp(*state, mem_);
-    for (uint32_t n = 0; n < options_.interp_fallback_insns; ++n) {
+    for (uint32_t n = 0; n < interp_fallback_insns; ++n) {
         ia32::StepResult step = interp.step();
         stats_.add("recover.interp_steps");
         if (step.kind == ia32::StepKind::Ok)
@@ -1127,8 +1140,7 @@ Runtime::run(ia32::State &state)
         ipf::StopInfo stop = machine_->run(
             entry, remaining < 1 ? 1
                                  : static_cast<uint64_t>(remaining));
-        machine_->chargeCycles(Bucket::Overhead,
-                               options_.runtime_entry_cost);
+        machine_->chargeCycles(Bucket::Overhead, runtime_entry_cost);
 
         if (stop.kind == StopKind::CycleLimit) {
             if (ck_armed_)

@@ -16,6 +16,20 @@ using ia32::Op;
 using ipf::ExitReason;
 using ipf::IpfOp;
 
+namespace
+{
+/** Neighbouring blocks analysed during cold translation (1-20). */
+constexpr unsigned cold_analysis_window = 8;
+/** Neighbouring blocks a hot session analyses around its entry. */
+constexpr unsigned hot_analysis_window = 32;
+/** IA-32 instructions a trace may hold, unrolled copies included. */
+constexpr unsigned max_trace_insns = 48;
+/** Loop unrolling multiplier. */
+constexpr unsigned unroll_factor = 2;
+/** Overhead cycles per code-cache flush. */
+constexpr double cache_flush_cost = 20000.0;
+} // namespace
+
 Translator::Translator(const Options &opts, mem::Memory &memory,
                        ipf::CodeCache &cache, uint64_t rt_base,
                        flight::FlightRecorder &recorder)
@@ -78,10 +92,10 @@ Translator::flushCodeCache()
         mem_.writePriv(rt_base_ + static_cast<uint64_t>(off), 8, 0);
     profile_next_ = rt::profile_base;
 
-    pending_cycles_ += options.cache_flush_cost;
+    pending_cycles_ += cache_flush_cost;
     stats.add("recover.cache_flush");
     stats.set("cache.generation", cache_.generation());
-    rec_.span(flight::Kind::CacheFlush, options.cache_flush_cost,
+    rec_.span(flight::Kind::CacheFlush, cache_flush_cost,
               static_cast<int64_t>(cache_.generation()));
 }
 
@@ -633,7 +647,7 @@ Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
                               MisalignStage stage, bool precise,
                               bool allow_flush_retry)
 {
-    Region region = discoverRegion(mem_, eip, options.analysis_window);
+    Region region = discoverRegion(mem_, eip, cold_analysis_window);
     computeFlagsLiveness(region);
     const BasicBlock *bb = region.find(eip);
     if (!bb || (bb->insns.empty() && !bb->ends_stop))
@@ -785,7 +799,7 @@ Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
     stats.add("xlate.cold_insns", info->insn_count);
     stats.add("fxch.emitted", fxch_emitted);
     double xlate_cost =
-        options.cold_xlate_cost_per_insn * (info->insn_count + 1);
+        cold_xlate_cost_per_insn * (info->insn_count + 1);
     pending_cycles_ += xlate_cost;
     rec_.span(flight::Kind::ColdXlate, xlate_cost, eip, info->id,
               info->insn_count);
@@ -814,7 +828,7 @@ Translator::selectTrace(const Region &region, uint32_t eip, bool *loops)
     unsigned insns = 0;
 
     while (cur && trace.size() < options.max_trace_blocks &&
-           insns + cur->insns.size() <= options.max_trace_insns) {
+           insns + cur->insns.size() <= max_trace_insns) {
         trace.push_back(cur);
         visited[cur->start] = true;
         insns += static_cast<unsigned>(cur->insns.size());
@@ -865,7 +879,7 @@ bool
 Translator::prepareHotInput(uint32_t entry_eip, const SpecContext &spec,
                             HotSessionInput *out)
 {
-    Region region = discoverRegion(mem_, entry_eip, 32);
+    Region region = discoverRegion(mem_, entry_eip, hot_analysis_window);
     computeFlagsLiveness(region);
     bool loops = false;
     std::vector<const BasicBlock *> trace =
@@ -881,8 +895,8 @@ Translator::prepareHotInput(uint32_t entry_eip, const SpecContext &spec,
     // unrolled").
     unsigned copies = 1;
     if (loops && options.enable_unroll &&
-        trace_insns * options.unroll_factor <= options.max_trace_insns) {
-        copies = options.unroll_factor;
+        trace_insns * unroll_factor <= max_trace_insns) {
+        copies = unroll_factor;
         stats.add("hot.loops_unrolled");
     }
 
@@ -1285,7 +1299,7 @@ Translator::commitHotArtifact(HotArtifact &art)
     // guest for publication; a stored artifact ran no session here.
     bool pipelined = art.ready_cycles > 0;
     rec_.span(flight::Kind::HotCommit,
-              pipelined ? options.hot_publish_cost_per_insn *
+              pipelined ? hot_publish_cost_per_insn *
                               (info->insn_count + 1)
                         : 0,
               info->entry_eip, info->id,
@@ -1371,7 +1385,7 @@ Translator::adoptPersisted(uint32_t eip, const SpecContext &spec)
         // Adoption stalls the guest like a pipelined publish would; it
         // is hot-translation latency the store removed, minus the
         // session itself.
-        chargeHotStall(options.hot_publish_cost_per_insn *
+        chargeHotStall(hot_publish_cost_per_insn *
                        (info->insn_count + 1));
         rec_.emit(flight::Kind::PersistAdopt, eip, info->insn_count,
                   info->id);

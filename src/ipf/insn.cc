@@ -171,19 +171,6 @@ ipfOpName(IpfOp op)
     }
 }
 
-const char *
-bucketName(Bucket bucket)
-{
-    switch (bucket) {
-      case Bucket::Hot: return "hot";
-      case Bucket::Cold: return "cold";
-      case Bucket::Overhead: return "overhead";
-      case Bucket::Native: return "native";
-      case Bucket::Idle: return "idle";
-      default: return "?";
-    }
-}
-
 bool
 writesGr(const Instr &i)
 {
@@ -253,20 +240,6 @@ writesFr(const Instr &i)
       case IpfOp::Fpmpy:
       case IpfOp::Fpdiv:
       case IpfOp::Fpcvt:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-writesPr(const Instr &i)
-{
-    switch (i.op) {
-      case IpfOp::Cmp:
-      case IpfOp::CmpImm:
-      case IpfOp::Tbit:
-      case IpfOp::Fcmp:
         return true;
       default:
         return false;

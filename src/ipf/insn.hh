@@ -237,17 +237,11 @@ struct Instr
 /** Printable opcode mnemonic. */
 const char *ipfOpName(IpfOp op);
 
-/** Printable bucket name. */
-const char *bucketName(Bucket bucket);
-
 /** True if the op writes a general register. */
 bool writesGr(const Instr &i);
 
 /** True if the op writes an FP register. */
 bool writesFr(const Instr &i);
-
-/** True if the op writes predicate registers. */
-bool writesPr(const Instr &i);
 
 } // namespace el::ipf
 

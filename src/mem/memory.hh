@@ -147,7 +147,6 @@ class Memory
      * branch per access when disarmed and never changes access results.
      */
     void setWriteJournal(WriteJournal *journal) { journal_ = journal; }
-    WriteJournal *writeJournal() { return journal_; }
 
     /** Rewind every journaled write, newest first (journal disarmed by
      *  the caller; entries are preserved for a later redo). */

@@ -394,17 +394,11 @@ fingerprintOf(const guest::Image &image, const core::Options &o)
     // el_run.
     uint64_t oh = fnv_offset;
     fnvU64(oh, format_version);
-    fnvU64(oh, o.analysis_window);
     fnvU64(oh, o.max_trace_blocks);
-    fnvU64(oh, o.max_trace_insns);
-    fnvU64(oh, o.unroll_factor);
-    fnvU64(oh, o.predication_max_side);
-    fnvU64(oh, o.lookup_entries);
     uint64_t toggles = 0;
-    for (bool t : {o.enable_hot_phase, o.enable_predication,
-                   o.enable_unroll, o.enable_eflags_elim,
-                   o.enable_fxch_elim, o.enable_fp_stack_spec,
-                   o.enable_mmx_alias_spec, o.enable_sse_format_spec,
+    for (bool t : {o.enable_hot_phase, o.enable_unroll,
+                   o.enable_eflags_elim, o.enable_fxch_elim,
+                   o.enable_fp_stack_spec, o.enable_sse_format_spec,
                    o.enable_misalign_avoidance, o.enable_load_speculation,
                    o.enable_chaining, o.enable_addr_cse})
         toggles = (toggles << 1) | (t ? 1 : 0);

@@ -68,16 +68,6 @@ enum class FaultSite : uint8_t
  *  from a real failure. */
 constexpr int crash_exit_code = 43;
 
-/** First member of the CrashPoint family (for range checks). */
-constexpr FaultSite first_crash_site = FaultSite::CrashJournalAppend;
-
-/** True when @p site is one of the process-kill crash points. */
-inline bool
-isCrashSite(FaultSite site)
-{
-    return site >= first_crash_site && site < FaultSite::NumSites;
-}
-
 /**
  * Terminate the process immediately (no atexit handlers, no stream
  * flushing beyond the diagnostic line below) — the closest portable

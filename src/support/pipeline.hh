@@ -61,18 +61,6 @@ class WorkQueue
         return true;
     }
 
-    /** Non-blocking pop. */
-    bool
-    tryPop(T *out)
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (items_.empty())
-            return false;
-        *out = std::move(items_.front());
-        items_.pop_front();
-        return true;
-    }
-
     /** Close the queue: no further pushes are expected. */
     void
     close()

@@ -9,16 +9,6 @@
 namespace el
 {
 
-std::string
-StatGroup::dump() const
-{
-    std::string out;
-    for (const auto &[name, value] : counters_)
-        out += strfmt("%-40s = %llu\n", name.c_str(),
-                      static_cast<unsigned long long>(value));
-    return out;
-}
-
 void
 Histogram::sample(int64_t value, uint64_t count)
 {

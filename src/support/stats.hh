@@ -68,9 +68,6 @@ class StatGroup
     /** All counters, sorted by name. */
     const std::map<std::string, uint64_t> &all() const { return counters_; }
 
-    /** Render as "name = value" lines. */
-    std::string dump() const;
-
   private:
     std::map<std::string, uint64_t> counters_;
 };

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -30,20 +31,38 @@
 namespace
 {
 
+/** Run el_run with @p args; its stdout goes to @p out when given. */
 int
-runCli(const std::string &args)
+runCli(const std::string &args, std::string *out = nullptr)
 {
     const char *bin = std::getenv("EL_RUN_BIN");
     EXPECT_NE(bin, nullptr)
         << "EL_RUN_BIN must point at the el_run binary";
     if (!bin)
         return -1;
-    std::string cmd =
-        std::string(bin) + " " + args + " > /dev/null 2>&1";
-    int rc = std::system(cmd.c_str());
+    std::string cmd = std::string(bin) + " " + args + " 2>/dev/null";
+    FILE *pipe = popen(cmd.c_str(), "r");
+    if (!pipe)
+        return -1;
+    char buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0)
+        if (out)
+            out->append(buf, n);
+    int rc = pclose(pipe);
     if (rc < 0 || !WIFEXITED(rc))
         return -1;
     return WEXITSTATUS(rc);
+}
+
+/** The check count of el_run's "audit: <n> check(s)" line, or 0. */
+unsigned long long
+auditChecks(const std::string &out)
+{
+    size_t at = out.find("audit: ");
+    return at == std::string::npos
+               ? 0
+               : std::strtoull(out.c_str() + at + 7, nullptr, 10);
 }
 
 std::string
@@ -181,6 +200,20 @@ TEST(CliExitCodes, AuditPassesCleanRuns)
               0);
 }
 
+TEST(CliExitCodes, AuditPeriodSetsTheInRunAuditRate)
+{
+    // A shorter --audit-period runs more in-run closure audits, and
+    // every one of them still passes.
+    std::string dflt, dense;
+    EXPECT_EQ(runCli("--workload=jit_rewriter --audit", &dflt), 0);
+    EXPECT_EQ(runCli("--workload=jit_rewriter --audit "
+                     "--audit-period=20000",
+                     &dense),
+              0);
+    EXPECT_GT(auditChecks(dflt), 0u);
+    EXPECT_GT(auditChecks(dense), auditChecks(dflt));
+}
+
 // ----- postmortem bundles on abnormal exit ------------------------------
 
 TEST(CliPostmortem, CleanRunWritesNoBundle)
@@ -210,6 +243,31 @@ TEST(CliPostmortem, DumpOnExitForcesABundle)
     ASSERT_NE(events, nullptr);
     EXPECT_TRUE(events->isArray());
     EXPECT_FALSE(events->arr.empty());
+}
+
+TEST(CliPostmortem, FlightRingCapsTheTail)
+{
+    // --flight-ring=8 keeps the last 8 events per host thread: the
+    // bundle records that capacity and no lane carries more.
+    using el::json::Value;
+    Value root;
+    std::string path = tmpBundlePath("ring8");
+    int code = runCliWithBundle(
+        "--workload=jit_rewriter --dump-on-exit --flight-ring=8", path,
+        &root);
+    EXPECT_EQ(code, 0);
+    const Value *fl = root.find("flight");
+    ASSERT_NE(fl, nullptr);
+    EXPECT_EQ(fl->numberOr("ring_capacity", 0), 8.0);
+    EXPECT_GT(fl->numberOr("dropped", 0), 0.0);
+    const Value *events = fl->find("events");
+    ASSERT_NE(events, nullptr);
+    std::map<double, unsigned> per_lane;
+    for (const Value &e : events->arr)
+        ++per_lane[e.numberOr("lane", -1)];
+    ASSERT_FALSE(per_lane.empty());
+    for (const auto &[lane, n] : per_lane)
+        EXPECT_LE(n, 8u) << "lane " << lane;
 }
 
 TEST(CliPostmortem, GuestFaultBundleNamesTheFault)
