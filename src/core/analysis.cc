@@ -20,6 +20,7 @@ decodeBlock(const mem::Memory &memory, uint32_t eip, unsigned max_insns)
 {
     BasicBlock bb;
     bb.start = eip;
+    bb.writable = memory.check(eip, 1, mem::PermWrite);
     uint32_t ip = eip;
     for (unsigned n = 0; n < max_insns; ++n) {
         Insn insn;
@@ -100,6 +101,7 @@ discoverRegion(const mem::Memory &memory, uint32_t entry,
                     tail.fall = pb.fall;
                     tail.ends_indirect = pb.ends_indirect;
                     tail.ends_stop = pb.ends_stop;
+                    tail.writable = pb.writable;
                     pb.insns.resize(split);
                     pb.taken = 0;
                     pb.fall = eip;
@@ -174,7 +176,9 @@ computeFlagsLiveness(Region &region)
             }
             bb.flags_live_out = out;
             auto [use, def] = genkill[eip];
-            uint32_t in = use | (out & ~def);
+            uint32_t in = bb.writable
+                              ? static_cast<uint32_t>(ia32::FlagsArith)
+                              : use | (out & ~def);
             if (in != live_in[eip]) {
                 live_in[eip] = in;
                 changed = true;

@@ -32,6 +32,9 @@ struct BasicBlock
     bool ends_indirect = false;
     bool ends_stop = false; //!< HLT / INT / undecodable end.
     bool fetch_fault = false; //!< Undecodable because unmapped (#PF).
+    bool writable = false;  //!< On a writable page: a store can rewrite
+                            //!< it, so liveness assumes it reads every
+                            //!< flag.
     uint32_t flags_live_out = ia32::FlagsArith; //!< Conservative default.
 
     const ia32::Insn &last() const { return insns.back(); }
@@ -63,7 +66,8 @@ Region discoverRegion(const mem::Memory &memory, uint32_t entry,
 /**
  * Backward EFlags liveness over the region: for each block compute the
  * set of arithmetic flags that may be read before being written by some
- * successor chain. Unknown successors are assumed to read everything.
+ * successor chain. Unknown successors, and blocks on writable pages
+ * (whose bytes a store may rewrite), are assumed to read everything.
  * Results are written into BasicBlock::flags_live_out.
  */
 void computeFlagsLiveness(Region &region);

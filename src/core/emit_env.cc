@@ -85,7 +85,6 @@ EmitEnv::emit(Il il)
     il.ins.meta.ia32_ip = cur_insn ? cur_insn->addr : last_insn_ip_;
     il.region = region_;
     il.ins.meta.commit_id = cur_commit_id_;
-    il.sideways = in_sideways_;
     if (orderedOp(il.ins.op))
         il.is_ordered = true;
     if (il.ins.op == IpfOp::Ld || il.ins.op == IpfOp::Ldf) {

@@ -12,7 +12,8 @@
  *    reuse, in-order scheduling downstream.
  *  - Hot: guest values tracked in virtual registers across the trace,
  *    lazy flags with recovery recipes, address CSE, commit regions with
- *    reconstruction maps, side exits with sideways sync code.
+ *    reconstruction maps, side exits that write back only the flags
+ *    live at their target.
  *
  * It also centralizes the section-5 machinery: the FP-stack TOS/TAG
  * speculation (with FXCH elimination as permutation of the mapping),
@@ -250,8 +251,13 @@ class EmitEnv
     /** Close the current commit region (stores/branches do this). */
     void closeRegion();
 
-    /** Emit home syncs for everything live (traces: exits/loop edges). */
-    void syncAllToHomes();
+    /**
+     * Write back what an exit's target can read. Hot: the dirty guest
+     * registers, the flags live after the exiting instruction (dead
+     * ones stay stale in their homes, as in cold code) and the FXCH
+     * permutation. Both phases: the FP/XMM status tail.
+     */
+    void syncForExit();
 
     /** Predicated side exit to @p target_eip (hot traces). */
     void sideExit(int16_t pred, uint32_t target_eip);
@@ -307,6 +313,8 @@ class EmitEnv
     uint32_t fxch_emitted = 0;
     uint32_t loads_emitted = 0;
     uint32_t stores_emitted = 0;
+    uint32_t side_exits = 0;
+    uint32_t exit_sync_ils = 0; //!< ILs side exits' syncs put on-trace.
 
     /** TOS delta accumulated so far (for recovery and the tail). */
     int8_t tosDelta() const;
@@ -379,7 +387,6 @@ class EmitEnv
     uint32_t last_state_ip_ = 0;
     uint32_t last_insn_ip_ = 0; //!< Most recent beginInsn() address.
     int64_t misalign_ctr_off_ = 0;
-    bool in_sideways_ = false;
     bool bucket_override_ = false;
     bool to_head_ = false;
     ipf::Bucket override_bucket_ = ipf::Bucket::Overhead;

@@ -533,12 +533,17 @@ EmitEnv::closeRegion()
 }
 
 void
-EmitEnv::syncAllToHomes()
+EmitEnv::syncForExit()
 {
-    closeRegion();
-    materializeFlags(ia32::FlagsArith);
-    if (!fpMemoryMode())
-        restoreFpPerm();
+    if (phase == Phase::Hot) {
+        // closeRegion() writes only the flags live after the exiting
+        // instruction: the exit target's live-in, which counts code on
+        // writable pages as reading every flag (computeFlagsLiveness).
+        closeRegion();
+        if (!fpMemoryMode())
+            restoreFpPerm();
+    }
+    emitStatusTail();
 }
 
 int8_t
@@ -552,8 +557,10 @@ EmitEnv::tosDelta() const
 void
 EmitEnv::sideExit(int16_t pred, uint32_t target_eip)
 {
-    syncAllToHomes();
-    emitStatusTail();
+    size_t before = body.ils.size();
+    syncForExit();
+    exit_sync_ils += static_cast<uint32_t>(body.ils.size() - before);
+    ++side_exits;
     Il x = mk(IpfOp::Exit);
     x.qp = pred;
     x.ins.exit_reason = ipf::ExitReason::LinkMiss;

@@ -6,7 +6,7 @@
  * structures" per IA-32 instruction (section 2). An Il is an IPF
  * instruction skeleton plus wide operand ids (physical registers are ids
  * below the physical file size; virtual registers are ids above it),
- * scheduling classification, commit-point tagging and sideways marking.
+ * scheduling classification and commit-point tagging.
  * Cold translation uses exactly the same ILs — the binary templates and
  * the IL generation "are derived from the same template source code" —
  * but runs them through the in-order scheduler.
@@ -68,7 +68,6 @@ struct Il
     bool is_ordered = false;  //!< Must keep program order (stores,
                               //!< faulting ops, branches, syncs, chk.s).
     bool is_load = false;     //!< Guest data load (speculation candidate).
-    bool sideways = false;    //!< Needed for side exits only.
     bool dead = false;
     int32_t region = 0;       //!< Commit region (reorder barrier index).
     int32_t weight = 0;       //!< Scheduling priority.

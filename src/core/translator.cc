@@ -445,16 +445,10 @@ Translator::emitBlockEnd(EmitEnv &env, const BasicBlock &bb,
     const Insn *last = bb.insns.empty() ? nullptr : &bb.insns.back();
     bool has_branch = last && ia32::endsBlock(*last);
 
-    auto sync_for_exit = [&]() {
-        if (trace_mode)
-            env.syncAllToHomes();
-        env.emitStatusTail();
-    };
-
     if (!has_branch) {
         uint32_t next = bb.fall ? bb.fall
                       : (last ? last->next() : bb.start);
-        sync_for_exit();
+        env.syncForExit();
         env.endBranch(next);
         return;
     }
@@ -467,7 +461,7 @@ Translator::emitBlockEnd(EmitEnv &env, const BasicBlock &bb,
         if (!trace_mode && info->edge_ctr_off >= 0)
             env.emitEdgeCounter(info->edge_ctr_off, p);
         env.endInsn();
-        sync_for_exit();
+        env.syncForExit();
         env.endBranch(insn.target(), p);
         env.endBranch(insn.next());
         info->ends_cond = true;
@@ -476,7 +470,7 @@ Translator::emitBlockEnd(EmitEnv &env, const BasicBlock &bb,
         return;
       }
       case Op::Jmp:
-        sync_for_exit();
+        env.syncForExit();
         env.endBranch(insn.target());
         return;
       case Op::Call: {
@@ -488,7 +482,7 @@ Translator::emitBlockEnd(EmitEnv &env, const BasicBlock &bb,
         push.src = ia32::Operand{};
         translateInsn(env, push);
         env.endInsn();
-        sync_for_exit();
+        env.syncForExit();
         env.endBranch(insn.target());
         return;
       }
@@ -502,7 +496,7 @@ Translator::emitBlockEnd(EmitEnv &env, const BasicBlock &bb,
         push.src = ia32::Operand{};
         translateInsn(env, push);
         env.endInsn();
-        sync_for_exit();
+        env.syncForExit();
         env.endIndirect(t);
         info->ends_indirect = true;
         return;
@@ -511,7 +505,7 @@ Translator::emitBlockEnd(EmitEnv &env, const BasicBlock &bb,
         env.beginInsn(insn, bb.flags_live_out);
         int16_t t = env.readOperand(insn.src, 4);
         env.endInsn();
-        sync_for_exit();
+        env.syncForExit();
         env.endIndirect(t);
         info->ends_indirect = true;
         return;
@@ -525,7 +519,7 @@ Translator::emitBlockEnd(EmitEnv &env, const BasicBlock &bb,
                    4 + static_cast<int64_t>(insn.src.imm));
         env.writeGuest(ia32::RegEsp, na, 4, /*clean=*/false);
         env.endInsn();
-        sync_for_exit();
+        env.syncForExit();
         env.endIndirect(t);
         info->ends_indirect = true;
         return;
@@ -533,7 +527,7 @@ Translator::emitBlockEnd(EmitEnv &env, const BasicBlock &bb,
       case Op::Int: {
         env.beginInsn(insn, bb.flags_live_out);
         env.endInsn();
-        sync_for_exit();
+        env.syncForExit();
         int64_t payload =
             (static_cast<int64_t>(insn.src.imm & 0xff) << 32) |
             insn.next();
@@ -541,15 +535,15 @@ Translator::emitBlockEnd(EmitEnv &env, const BasicBlock &bb,
         return;
       }
       case Op::Int3:
-        sync_for_exit();
+        env.syncForExit();
         env.endExit(ExitReason::Breakpoint, insn.addr);
         return;
       case Op::Hlt:
-        sync_for_exit();
+        env.syncForExit();
         env.endExit(ExitReason::Halt, insn.next());
         return;
       default:
-        sync_for_exit();
+        env.syncForExit();
         env.endExit(ExitReason::GuestFault,
                     (static_cast<int64_t>(insn.addr) << 8) |
                         static_cast<int64_t>(
@@ -1070,8 +1064,7 @@ Translator::runHotSession(const HotSessionInput &in,
 
     if (!tail_done) {
         // Trace falls through its end: loop back or link out.
-        env.syncAllToHomes();
-        env.emitStatusTail();
+        env.syncForExit();
         bool can_loop = in.loops && env.tosDelta() == 0 &&
                         env.tagSet() == 0 && env.tagClear() == 0 &&
                         env.xmmEntryFormats() == env.xmmExitFormats();
@@ -1109,6 +1102,8 @@ Translator::runHotSession(const HotSessionInput &in,
     out->stats.add("sched.dead_removed", tally.dead_removed);
     out->stats.add("sched.loads_speculated", tally.loads_speculated);
     out->stats.add("fxch.eliminated", env.fxch_eliminated);
+    out->stats.add("hot.side_exits", env.side_exits);
+    out->stats.add("hot.exit_sync_ils", env.exit_sync_ils);
     out->stats.add("xlate.hot_trace_blocks",
                    static_cast<uint64_t>(trace.size()) * in.copies);
     if (faults && faults->shouldFire(FaultSite::Miscompile)) {

@@ -13,7 +13,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -37,6 +36,7 @@
 #include "support/metrics.hh"
 #include "support/profile.hh"
 #include "support/sentinel.hh"
+#include "support/strfmt.hh"
 
 namespace
 {
@@ -59,6 +59,9 @@ constexpr int exit_internal = 20;
 constexpr int exit_divergence = 30;
 constexpr int exit_audit = 40;
 
+// Upper bound of --threads: each worker is a host thread.
+constexpr uint64_t max_threads = 64;
+
 // Whether --audit defaults on; CMake sets this to 1 in Debug builds
 // so every local debug run and the sanitizer CI jobs audit for free.
 #ifndef EL_AUDIT_DEFAULT
@@ -73,7 +76,7 @@ usage()
         "usage: el_run [options]\n"
         "  --workload=<name>      personality to run (default: gzip)\n"
         "  --list                 list known workloads and exit\n"
-        "  --threads=<n>          hot-translation worker threads\n"
+        "  --threads=<n>          hot-translation worker threads (0-64)\n"
         "  --deterministic        deterministic pipeline adoption\n"
         "  --heat-threshold=<n>   block-use count registering hot\n"
         "  --hot-batch=<n>        candidates batched per session\n"
@@ -253,29 +256,44 @@ main(int argc, char **argv)
                 return nullptr;
             return arg.c_str() + n;
         };
+        // Numeric values are digits only, within [lo, hi]: anything else
+        // is a usage error, never a silent zero or a wrapped negative.
+        bool bad_number = false;
+        auto number = [&](const char *v, uint64_t lo, uint64_t hi) {
+            uint64_t n = 0;
+            if (!parseUint(v, lo, hi, &n)) {
+                std::fprintf(stderr,
+                             "el_run: bad number in '%s' (want an "
+                             "integer in [%llu, %llu])\n",
+                             arg.c_str(), static_cast<unsigned long long>(lo),
+                             static_cast<unsigned long long>(hi));
+                bad_number = true;
+            }
+            return n;
+        };
         if (const char *v = value("--workload=")) {
             workload_name = v;
         } else if (arg == "--list") {
             list = true;
         } else if (const char *v = value("--threads=")) {
             options.translation_threads =
-                static_cast<uint32_t>(std::atoi(v));
+                static_cast<uint32_t>(number(v, 0, max_threads));
         } else if (arg == "--deterministic") {
             options.deterministic_adoption = true;
         } else if (const char *v = value("--heat-threshold=")) {
             options.heat_threshold =
-                static_cast<uint32_t>(std::atoi(v));
+                static_cast<uint32_t>(number(v, 0, UINT32_MAX));
         } else if (const char *v = value("--hot-batch=")) {
-            options.hot_batch = static_cast<uint32_t>(std::atoi(v));
+            options.hot_batch =
+                static_cast<uint32_t>(number(v, 0, UINT32_MAX));
         } else if (const char *v = value("--cache-capacity=")) {
-            options.code_cache_capacity =
-                static_cast<uint64_t>(std::atoll(v));
+            options.code_cache_capacity = number(v, 0, UINT64_MAX);
         } else if (const char *v = value("--cache-dir=")) {
             cache_dir = v;
         } else if (const char *v = value("--checkpoint-dir=")) {
             checkpoint_dir = v;
         } else if (const char *v = value("--checkpoint-period=")) {
-            checkpoint_period = static_cast<uint64_t>(std::atoll(v));
+            checkpoint_period = number(v, 1, UINT64_MAX);
         } else if (arg == "--resume") {
             resume = true;
         } else if (const char *v = value("--fault=")) {
@@ -288,14 +306,14 @@ main(int argc, char **argv)
                              v);
                 return exit_usage;
             }
-            options.fault.site(
-                site, static_cast<uint16_t>(
-                          std::atoi(spec.c_str() + colon + 1)));
+            options.fault.site(site,
+                               static_cast<uint16_t>(number(
+                                   spec.c_str() + colon + 1, 0, 1024)));
         } else if (const char *v = value("--fault-seed=")) {
-            options.fault.seed = static_cast<uint64_t>(std::atoll(v));
+            options.fault.seed = number(v, 0, UINT64_MAX);
         } else if (const char *v = value("--selfcheck=")) {
             sentinel_cfg.selfcheck_rate =
-                static_cast<uint32_t>(std::atoi(v));
+                static_cast<uint32_t>(number(v, 0, UINT32_MAX));
         } else if (const char *v = value("--trace-out=")) {
             trace_out = v;
         } else if (const char *v = value("--report-json=")) {
@@ -303,19 +321,17 @@ main(int argc, char **argv)
         } else if (const char *v = value("--profile-out=")) {
             profile_out = v;
         } else if (const char *v = value("--profile-period=")) {
-            prof_cfg.sample_period =
-                static_cast<uint64_t>(std::atoll(v));
+            prof_cfg.sample_period = number(v, 1, UINT64_MAX);
         } else if (const char *v = value("--profile-topk=")) {
-            prof_cfg.topk = static_cast<uint32_t>(std::atoi(v));
+            prof_cfg.topk = static_cast<uint32_t>(number(v, 0, UINT32_MAX));
         } else if (const char *v = value("--profile-ring=")) {
-            prof_cfg.ring_capacity =
-                static_cast<size_t>(std::atoll(v));
+            prof_cfg.ring_capacity = number(v, 1, SIZE_MAX);
         } else if (const char *v = value("--validate-trace=")) {
             return validateTraceFile(v);
         } else if (const char *v = value("--metrics-out=")) {
             metrics_out = v;
         } else if (const char *v = value("--metrics-period=")) {
-            metrics_period = static_cast<uint64_t>(std::atoll(v));
+            metrics_period = number(v, 1, UINT64_MAX);
         } else if (const char *v = value("--postmortem-out=")) {
             postmortem_out = v;
         } else if (arg == "--dump-on-exit") {
@@ -325,12 +341,12 @@ main(int argc, char **argv)
         } else if (arg == "--no-audit") {
             options.audit = false;
         } else if (const char *v = value("--audit-period=")) {
-            options.audit_period = static_cast<uint64_t>(std::atoll(v));
+            options.audit_period = number(v, 1, UINT64_MAX);
         } else if (arg == "--no-flight") {
             options.flight_recorder = false;
         } else if (const char *v = value("--flight-ring=")) {
             options.flight_ring_capacity =
-                static_cast<uint32_t>(std::atoi(v));
+                static_cast<uint32_t>(number(v, 1, UINT32_MAX));
         } else if (const char *v = value("--log-level=")) {
             int level = parseLogLevel(v);
             if (level < 0) {
@@ -349,6 +365,8 @@ main(int argc, char **argv)
             usage();
             return exit_usage;
         }
+        if (bad_number)
+            return exit_usage;
     }
 
     std::vector<guest::Workload> suite = allWorkloads();

@@ -64,8 +64,11 @@ struct Options;
 namespace el::persist
 {
 
-/** On-disk format version; bump on any layout change. */
-constexpr uint32_t format_version = 1;
+/**
+ * On-disk format version. Bump on any layout change, and whenever code
+ * the old generator stored must no longer be adopted.
+ */
+constexpr uint32_t format_version = 2;
 
 /** Identity of a store: which image + translator configuration. */
 struct Fingerprint

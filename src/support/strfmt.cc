@@ -26,4 +26,24 @@ strfmt(const char *fmt, ...)
     return out;
 }
 
+bool
+parseUint(const char *text, uint64_t lo, uint64_t hi, uint64_t *out)
+{
+    if (!text || !*text)
+        return false;
+    uint64_t v = 0;
+    for (const char *c = text; *c; ++c) {
+        if (*c < '0' || *c > '9')
+            return false;
+        unsigned digit = static_cast<unsigned>(*c - '0');
+        if (v > (UINT64_MAX - digit) / 10)
+            return false; // overflows 64 bits
+        v = v * 10 + digit;
+    }
+    if (v < lo || v > hi)
+        return false;
+    *out = v;
+    return true;
+}
+
 } // namespace el

@@ -90,6 +90,52 @@ runCliWithBundle(const std::string &args, const std::string &path,
     return code;
 }
 
+/** guest.state_hash of an el_run report for @p args, or "". */
+std::string
+stateHash(const std::string &args, const std::string &tag)
+{
+    // Keyed by the running test too: ctest runs tests in parallel.
+    std::string path =
+        testing::TempDir() + "el_state_" +
+        testing::UnitTest::GetInstance()->current_test_info()->name() +
+        "_" + tag + ".json";
+    std::remove(path.c_str());
+    runCli(args + " --report-json=" + path);
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    el::json::Value root;
+    std::string error;
+    if (!el::json::Parser::parse(text.str(), &root, &error))
+        return "";
+    const el::json::Value *guest = root.find("guest");
+    return guest ? guest->strOr("state_hash", "") : "";
+}
+
+/**
+ * The miscompile seed the sentinel tests aim at: the first seed in 1..8
+ * whose unguarded `jit_rewriter --fault=miscompile:128` run ends in a
+ * different guest state than the clean run. A seed whose bit flips are
+ * neutral leaves nothing to detect, and which seeds are neutral moves
+ * whenever the emitted code does; 0 when none of the eight bites.
+ */
+int
+consequentialMiscompileSeed()
+{
+    const std::string clean =
+        stateHash("--workload=jit_rewriter", "clean");
+    EXPECT_FALSE(clean.empty());
+    for (int seed = 1; seed <= 8; ++seed) {
+        std::string args = "--workload=jit_rewriter "
+                           "--fault=miscompile:128 --fault-seed=" +
+                           std::to_string(seed);
+        std::string got = stateHash(args, "seed" + std::to_string(seed));
+        if (!got.empty() && got != clean)
+            return seed;
+    }
+    return 0;
+}
+
 /** The invariants every bundle must satisfy, per DESIGN.md §12. */
 void
 expectBundleSchema(const el::json::Value &root,
@@ -117,6 +163,18 @@ TEST(CliExitCodes, UsageErrorIsOne)
     EXPECT_EQ(runCli("--workload="), 1);
     EXPECT_EQ(runCli("--workload=no_such_personality"), 1);
     EXPECT_EQ(runCli("--workload=jit_rewriter --log-level=verbose"), 1);
+}
+
+TEST(CliExitCodes, MalformedNumbersAreUsageErrors)
+{
+    // Numeric flags refuse what atoi() would have turned into a silent
+    // zero or a wrapped negative. (A wrapped --threads would start
+    // billions of workers, so that flag is covered by the parser's
+    // unit test, never by launching el_run.)
+    EXPECT_EQ(runCli("--workload=jit_rewriter --flight-ring=abc"), 1);
+    EXPECT_EQ(runCli("--workload=jit_rewriter --flight-ring=-5"), 1);
+    EXPECT_EQ(runCli("--workload=jit_rewriter --audit-period=12x"), 1);
+    EXPECT_EQ(runCli("--workload=jit_rewriter --hot-batch=abc"), 1);
 }
 
 TEST(CliExitCodes, IoErrorIsTwo)
@@ -171,8 +229,11 @@ TEST(CliExitCodes, SentinelDivergenceIsThirty)
     // Seeded miscompile + full shadow-checking: the sentinel detects
     // the corrupted translation and el_run reports the divergence class
     // even though the run completes with the correct answer.
+    int seed = consequentialMiscompileSeed();
+    ASSERT_NE(seed, 0) << "no seed in 1..8 changes the guest state";
     EXPECT_EQ(runCli("--workload=jit_rewriter --fault=miscompile:128 "
-                     "--fault-seed=1 --selfcheck=1"),
+                     "--fault-seed=" + std::to_string(seed) +
+                     " --selfcheck=1"),
               30);
 }
 
@@ -354,9 +415,11 @@ TEST(CliPostmortem, DivergenceBundleCarriesTheSentinelLedger)
     using el::json::Value;
     Value root;
     std::string path = tmpBundlePath("divergence");
+    int seed = consequentialMiscompileSeed();
+    ASSERT_NE(seed, 0) << "no seed in 1..8 changes the guest state";
     int code = runCliWithBundle(
         "--workload=jit_rewriter --fault=miscompile:128 "
-        "--fault-seed=1 --selfcheck=1",
+        "--fault-seed=" + std::to_string(seed) + " --selfcheck=1",
         path, &root);
     EXPECT_EQ(code, 30);
     expectBundleSchema(root, "divergence", 30);

@@ -598,6 +598,66 @@ TEST(End2End, SmcInvalidationIsSurgical)
     EXPECT_TRUE(saw_b);
 }
 
+TEST(End2End, FlagLivenessDoesNotTrustRewritableCode)
+{
+    // `pass` computes a carry its callee ignores (`cmp eax, eax`
+    // rewrites every flag), so liveness could leave CF unwritten. The
+    // first pass then rewrites the callee into `adc ebx, ebx`, which
+    // reads that carry. The `jmp pass` makes `pass` a block of its own,
+    // translated before the rewrite and reused after it: code on a
+    // writable page must count as reading every flag.
+    Assembler as(Layout::code_base);
+    Label fn_b = as.label(), start = as.label(), loop = as.label(),
+          pass = as.label();
+    as.jmp(start);
+    while (as.pc() < Layout::code_base + 32)
+        as.nop();
+    as.bind(fn_b);
+    as.aluRR(Op::Cmp, RegEax, RegEax); // 39 C0
+    as.ret();                          // C3
+    as.bind(start);
+    as.movRI(RegEbx, 0);
+    as.movRI(RegEdx, 2); // two passes
+    as.bind(loop);
+    as.jmp(pass);
+    as.bind(pass);
+    as.movRI(RegEax, 0xffffffffu);
+    as.aluRI(Op::Add, RegEax, 1); // CF = 1
+    as.call(fn_b);
+    // 11 DB C3 90: adc ebx, ebx ; ret ; nop
+    as.movRI(RegEcx, Layout::code_base + 32);
+    as.movMI(memb(RegEcx, 0), 0x90C3DB11u);
+    as.decR(RegEdx);
+    as.jcc(Cond::NE, loop);
+    as.movRR(RegEax, RegEbx);
+    emitExitEax(as);
+
+    Image img;
+    img.name = "smc_flag_liveness";
+    img.entry = Layout::code_base;
+    img.addCode(Layout::code_base, as.finish(), /*writable=*/true);
+    img.addData(Layout::data_base, 0x1000);
+
+    harness::Outcome ref = harness::runInterpreter(img, OsAbi::Linux);
+    ASSERT_TRUE(ref.exited);
+    ASSERT_EQ(ref.exit_code, 1); // the second pass's adc saw CF = 1
+    for (bool hot : {false, true}) {
+        for (unsigned threads : {0u, 4u}) {
+            SCOPED_TRACE(std::string(hot ? "hot" : "cold") +
+                         " threads=" + std::to_string(threads));
+            core::Options o;
+            o.enable_hot_phase = hot;
+            o.translation_threads = threads;
+            o.deterministic_adoption = threads != 0;
+            if (hot) {
+                o.heat_threshold = 4;
+                o.hot_batch = 1;
+            }
+            diffRun(img, OsAbi::Linux, o);
+        }
+    }
+}
+
 TEST(End2End, HotFaultReconstructsPreciseState)
 {
     // A fault that lands while hot-trace code is executing must be

@@ -118,6 +118,44 @@ TEST(Analysis, FlagsLivenessKillsDeadFlags)
     EXPECT_NE(live[1] & FlagZf, 0u);
 }
 
+TEST(Analysis, WritableCodeReadsEveryFlag)
+{
+    // `add` then a call to a callee that rewrites every flag. On a
+    // read-only page the add's flags are dead at the call; on a
+    // writable page a store may turn the callee into a flag reader, so
+    // every flag stays live.
+    Assembler as(Layout::code_base);
+    Label fn = as.label(), mid = as.label();
+    as.aluRI(Op::Add, RegEax, 1);
+    as.call(fn);
+    as.bind(fn);
+    as.aluRR(Op::Cmp, RegEax, RegEax);
+    const uint32_t mid_eip = as.pc();
+    as.bind(mid);
+    as.aluRI(Op::Add, RegEbx, 2);
+    as.jcc(Cond::NE, mid); // splits fn's block at mid
+    as.ret();
+    std::vector<uint8_t> code = as.finish();
+    for (bool writable : {false, true}) {
+        SCOPED_TRACE(writable ? "writable" : "read-only");
+        mem::Memory m;
+        m.map(Layout::code_base, code.size() + 16,
+              writable ? mem::PermRWX : mem::PermRX);
+        for (size_t k = 0; k < code.size(); ++k)
+            m.writePriv(Layout::code_base + k, 1, code[k]);
+        Region r = core::discoverRegion(m, Layout::code_base, 8);
+        core::computeFlagsLiveness(r);
+        const BasicBlock *entry = r.find(Layout::code_base);
+        const BasicBlock *tail = r.find(mid_eip);
+        ASSERT_NE(entry, nullptr);
+        ASSERT_NE(tail, nullptr);
+        EXPECT_EQ(entry->writable, writable);
+        EXPECT_EQ(tail->writable, writable); // split tails inherit it
+        EXPECT_EQ(entry->flags_live_out,
+                  writable ? static_cast<uint32_t>(ia32::FlagsArith) : 0u);
+    }
+}
+
 TEST(Sched, PacksIndependentOpsIntoOneGroup)
 {
     core::Options opts;

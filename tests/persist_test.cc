@@ -591,14 +591,19 @@ TEST_F(PersistCorruption, BadMagicRejectsFile)
 
 TEST_F(PersistCorruption, BadVersionRejectsFile)
 {
-    std::string mutated = bytes_;
-    mutated[4] = char(0x7f); // version field, little-endian low byte
-    rewrite(mutated);
-    persist::ArtifactStore store(fp_);
-    EXPECT_FALSE(store.load(dir_->str()));
-    EXPECT_EQ(store.recordCount(), 0u);
-    EXPECT_GE(store.stats.get("persist.rejected_header"), 1u);
-    expectGracefulFallback("bad version");
+    // A garbage version, and the previous one: its generator's flag
+    // liveness trusted code on writable pages, so its stored code must
+    // never be adopted.
+    for (uint32_t version : {0x7fu, persist::format_version - 1}) {
+        std::string mutated = bytes_;
+        mutated[4] = char(version); // version field, little-endian low byte
+        rewrite(mutated);
+        persist::ArtifactStore store(fp_);
+        EXPECT_FALSE(store.load(dir_->str())) << version;
+        EXPECT_EQ(store.recordCount(), 0u);
+        EXPECT_GE(store.stats.get("persist.rejected_header"), 1u);
+        expectGracefulFallback("bad version");
+    }
 }
 
 TEST_F(PersistCorruption, RandomByteFlipsNeverCrash)

@@ -57,6 +57,48 @@ sameGuestOutcome(const harness::Outcome &a, const harness::Outcome &b)
            a.final_state.equalsArch(b.final_state);
 }
 
+/** baseOpts() with the Miscompile site armed at @p seed. */
+core::Options
+miscompileOpts(uint64_t seed)
+{
+    core::Options o = baseOpts();
+    o.fault.seed = seed;
+    o.fault.site(FaultSite::Miscompile, 128);
+    return o;
+}
+
+/**
+ * The sweep's seeds: every seed from 1 up to the 18th at which the
+ * Miscompile site corrupts at least one translation of the victim
+ * within twice the clean run's cycles (the cap keeps a corruption that
+ * never terminates from costing the whole cycle budget here). A seed
+ * that corrupts nothing tests nothing, and which seeds fire moves
+ * whenever the emitted code does, so the sweep runs until 18 have.
+ */
+const std::vector<uint64_t> &
+sweepSeeds()
+{
+    static const std::vector<uint64_t> seeds = [] {
+        std::vector<uint64_t> out;
+        Workload w = victim();
+        const double clean_cycles =
+            harness::runTranslated(w.image, w.params.abi, baseOpts())
+                .outcome.cycles;
+        unsigned fired = 0;
+        for (uint64_t seed = 1; seed <= 200 && fired < 18; ++seed) {
+            out.push_back(seed);
+            core::Options o = miscompileOpts(seed);
+            o.max_run_cycles = static_cast<uint64_t>(2 * clean_cycles);
+            harness::TranslatedRun run =
+                harness::runTranslated(w.image, w.params.abi, o);
+            fired += run.runtime->translator().stats.get(
+                         "xlate.miscompiles_injected") > 0;
+        }
+        return out;
+    }();
+    return seeds;
+}
+
 bool
 ledgerHasAdverseRow(const sentinel::Sentinel &s)
 {
@@ -68,22 +110,22 @@ ledgerHasAdverseRow(const sentinel::Sentinel &s)
 
 // ----- the miscompile sweep ---------------------------------------------
 //
-// For each seed, corrupt emitted translations with FaultSite::Miscompile
-// and run three ways: the interpreter oracle, the translator unguarded,
-// and the translator with --selfcheck=1. A seed is *consequential* when
-// the unguarded run disagrees with the oracle — those are exactly the
-// corruptions a user would care about, and the sentinel must detect and
-// contain 100% of them. Corruptions that happen to be semantically
+// For each seed of sweepSeeds(), corrupt emitted translations with
+// FaultSite::Miscompile and run three ways: the interpreter oracle, the
+// translator unguarded, and the translator with --selfcheck=1. A seed
+// is *consequential* when the unguarded run disagrees with the oracle —
+// those are exactly the corruptions a user would care about, and the
+// sentinel must detect and contain 100% of them. Corruptions that happen to be semantically
 // neutral (e.g. a patched byte in dead data flow) produce no divergence
 // and need none.
 //
 // One caveat the region protocol implies: a corruption that turns a
 // bounded loop into an effectively unbounded one never reaches a
 // dispatch boundary, so there is no region end to arbitrate and both
-// translated runs exhaust the cycle budget. Those seeds (none with the
-// pinned workload below, but injection patterns shift when translation
-// changes) are reported as internal errors, not silent wrong answers,
-// and are excluded from the bit-identical clause.
+// translated runs exhaust the cycle budget. Those seeds (which ones
+// shifts whenever translation changes) are reported as internal errors,
+// not silent wrong answers, and are excluded from the bit-identical
+// clause.
 
 class MiscompileSweep : public ::testing::TestWithParam<uint64_t>
 {
@@ -96,9 +138,7 @@ TEST_P(MiscompileSweep, SelfcheckDetectsAndRepairs)
     harness::Outcome ref = harness::runInterpreter(w.image, w.params.abi);
     ASSERT_TRUE(ref.exited);
 
-    core::Options opts = baseOpts();
-    opts.fault.seed = seed;
-    opts.fault.site(FaultSite::Miscompile, 128);
+    core::Options opts = miscompileOpts(seed);
 
     harness::TranslatedRun unguarded =
         harness::runTranslated(w.image, w.params.abi, opts);
@@ -144,22 +184,20 @@ TEST_P(MiscompileSweep, SelfcheckDetectsAndRepairs)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MiscompileSweep,
-                         ::testing::Range<uint64_t>(1, 19));
+                         ::testing::ValuesIn(sweepSeeds()));
 
 TEST(Selfcheck, SweepHasTeeth)
 {
-    // Guard against the sweep silently degenerating: across the 18
-    // seeds, a healthy fraction of corruptions must actually change the
-    // unguarded answer (otherwise the detection clause above is vacuous).
+    // Guard against the sweep silently degenerating: across the sweep's
+    // seeds (18 of which corrupt something), a healthy fraction of
+    // corruptions must actually change the unguarded answer (otherwise
+    // the detection clause above is vacuous).
     Workload w = victim();
     harness::Outcome ref = harness::runInterpreter(w.image, w.params.abi);
     int consequential = 0;
-    for (uint64_t seed = 1; seed < 19; ++seed) {
-        core::Options opts = baseOpts();
-        opts.fault.seed = seed;
-        opts.fault.site(FaultSite::Miscompile, 128);
-        harness::TranslatedRun run =
-            harness::runTranslated(w.image, w.params.abi, opts);
+    for (uint64_t seed : sweepSeeds()) {
+        harness::TranslatedRun run = harness::runTranslated(
+            w.image, w.params.abi, miscompileOpts(seed));
         consequential += !sameGuestOutcome(ref, run.outcome);
     }
     EXPECT_GE(consequential, 4) << "miscompile injection lost its bite";

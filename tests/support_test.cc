@@ -98,6 +98,28 @@ TEST(Strfmt, Basic)
     EXPECT_EQ(strfmt("%s", ""), "");
 }
 
+TEST(Strfmt, ParseUintIsStrict)
+{
+    uint64_t v = 7;
+    EXPECT_TRUE(parseUint("0", 0, 10, &v));
+    EXPECT_EQ(v, 0u);
+    EXPECT_TRUE(parseUint("18446744073709551615", 0, UINT64_MAX, &v));
+    EXPECT_EQ(v, UINT64_MAX);
+    v = 7;
+    // Non-numeric, signed, trailing garbage, empty: refused, v untouched.
+    for (const char *bad : {"abc", "-5", "-1", "+5", "12x", " 12", "",
+                            "0x10", "1e3"})
+        EXPECT_FALSE(parseUint(bad, 0, UINT64_MAX, &v)) << bad;
+    EXPECT_FALSE(parseUint(nullptr, 0, UINT64_MAX, &v));
+    // Out of range: past 64 bits, or outside [lo, hi]. "-1" is what
+    // atoi() once turned into 4,294,967,295 --threads workers.
+    EXPECT_FALSE(parseUint("18446744073709551616", 0, UINT64_MAX, &v));
+    EXPECT_FALSE(parseUint("4294967295", 0, 64, &v));
+    EXPECT_FALSE(parseUint("0", 1, 10, &v));
+    EXPECT_FALSE(parseUint("11", 1, 10, &v));
+    EXPECT_EQ(v, 7u);
+}
+
 TEST(StatGroup, AddAndRatio)
 {
     StatGroup g;
