@@ -2,10 +2,10 @@
  * @file
  * Ablations of the design choices the paper calls out: the second
  * (hot) phase, EFlags elimination, FXCH elimination, the register FP
- * stack vs the FX!32-style in-memory stack, address CSE, loop
- * unrolling, load speculation, block chaining and misalignment
- * avoidance. Each row is the slowdown of turning one feature off,
- * measured on a workload that stresses it.
+ * stack vs the FX!32-style in-memory stack, loop unrolling, load
+ * speculation, block chaining and misalignment avoidance. Each row is
+ * the slowdown of turning one feature off, measured on a workload that
+ * stresses it.
  */
 
 #include "bench/bench_common.hh"
@@ -79,11 +79,6 @@ main(int argc, char **argv)
         core::Options o;
         o.enable_eflags_elim = false;
         row("EFlags elimination", intw, int_base, o);
-    }
-    {
-        core::Options o;
-        o.enable_addr_cse = false;
-        row("address CSE", intw, int_base, o);
     }
     {
         core::Options o;

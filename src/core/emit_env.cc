@@ -663,7 +663,7 @@ EmitEnv::effAddr(const ia32::MemRef &mem)
         : static_cast<int16_t>(-1);
 
     auto key = std::make_tuple(base_loc, index_loc, mem.scale, mem.disp);
-    bool use_cse = options.enable_addr_cse && phase == Phase::Hot;
+    bool use_cse = phase == Phase::Hot;
     if (use_cse) {
         auto it = addr_cse_.find(key);
         if (it != addr_cse_.end())

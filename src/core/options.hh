@@ -7,8 +7,8 @@
  * off independently: two-phase translation, unrolling, EFlags
  * elimination, FXCH elimination, the FP-stack and SSE-format
  * speculation schemes (with the FX!32-style FP-stack-in-memory
- * fallback), load speculation, block chaining, address CSE and
- * misalignment avoidance. A value no caller varies is a constant, not a
+ * fallback), load speculation, block chaining and misalignment
+ * avoidance. A value no caller varies is a constant, not a
  * field: the shared cost model below, the rest beside their one reader.
  */
 
@@ -77,7 +77,6 @@ struct Options
     bool enable_misalign_avoidance = true;
     bool enable_load_speculation = true;
     bool enable_chaining = true;
-    bool enable_addr_cse = true;
 
     // ----- simulated translator costs (charged to Overhead) --------
     double hot_xlate_cost_per_insn = 1200.0; //!< ~20x cold (section 2).
@@ -85,10 +84,8 @@ struct Options
     // ----- asynchronous hot-translation pipeline --------------------
     uint32_t translation_threads = 0; //!< Hot-session worker threads;
                                       //!< 0 = synchronous (inline
-                                      //!< sessions, today's behavior).
-    bool deterministic_adoption = false; //!< Adopt hot results only at
-                                      //!< block re-entry boundaries, in
-                                      //!< enqueue order, on a simulated
+                                      //!< sessions). Results adopt in
+                                      //!< enqueue order on a simulated
                                       //!< worker timeline (replayable).
 
     // ----- limits ---------------------------------------------------

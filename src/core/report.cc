@@ -133,10 +133,6 @@ runStats(Runtime &rt)
     if (fr && fr->capturing())
         all.set("trace.dropped_events",
                 static_cast<double>(fr->captureDropped()));
-    if (rt.options().profiler)
-        all.set("profile.dropped_samples",
-                static_cast<double>(
-                    rt.options().profiler->samplesDropped()));
     if (fr && fr->keepsTail())
         all.set("flight.dropped_events",
                 static_cast<double>(fr->dropped()));
@@ -280,18 +276,15 @@ profileJson(Runtime &rt, const prof::Profiler &prof,
     json::Writer w;
     w.beginObject();
     w.kv("kind", "el-profile");
-    w.kv("version", 1);
+    w.kv("version", 2);
     if (producer)
         buildinfo::writeStamp(w, *producer);
     w.kv("workload", workload);
     w.kv("cycles", m.totalCycles());
 
-    const prof::Config &cfg = prof.config();
     w.key("config");
     w.beginObject();
-    w.kv("topk", cfg.topk);
-    w.kv("sample_period", cfg.sample_period);
-    w.kv("ring_capacity", static_cast<uint64_t>(cfg.ring_capacity));
+    w.kv("topk", prof.config().topk);
     w.endObject();
 
     w.key("counters");
@@ -396,26 +389,6 @@ profileJson(Runtime &rt, const prof::Profiler &prof,
         w.endObject();
     }
     w.endArray();
-
-    w.key("samples");
-    w.beginObject();
-    w.kv("period", cfg.sample_period);
-    w.kv("dropped", prof.samplesDropped());
-    w.key("series");
-    w.beginArray();
-    for (const prof::Sample &s : prof.samples()) {
-        w.beginObject();
-        w.kv("cycle", s.cycle);
-        w.kv("dispatch_lookups", s.dispatch_lookups);
-        w.kv("cache_occupancy", s.cache_occupancy);
-        w.kv("hot_queue_depth", s.hot_queue_depth);
-        w.kv("worker_inflight", s.worker_inflight);
-        w.kv("fault_fires", s.fault_fires);
-        w.kv("profile_events", s.profile_events);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
 
     w.endObject();
     return w.str() + "\n";

@@ -109,8 +109,8 @@ bool writeRunReport(Runtime &rt, const std::string &workload,
  * per-block execution counts with IA-32 disassembly and — when
  * Options::collect_block_cycles was set — the joined per-translation
  * IPF cycle/instruction costs, per-site conditional edge counters,
- * per-site indirect-target distributions, the sampled time series, and
- * the profiler's own health counters.
+ * per-site indirect-target distributions, and the profiler's own health
+ * counters.
  */
 std::string profileJson(Runtime &rt, const prof::Profiler &prof,
                         const std::string &workload,

@@ -125,16 +125,6 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
             }
             return info;
         });
-        profiler_->setSampleGather([this](prof::Sample *s) {
-            s->dispatch_lookups = dispatch_lookups_;
-            s->cache_occupancy =
-                static_cast<uint64_t>(cache_.nextIndex());
-            s->hot_queue_depth = hot_queue_.size();
-            s->worker_inflight =
-                hot_pipeline_ ? hot_pipeline_->inFlight() : 0;
-            const FaultInjector *fi = inject_scope_.get();
-            s->fault_fires = fi ? fi->totalFires() : 0;
-        });
     }
     if (FaultInjector *fi = inject_scope_.get()) {
         // Main-thread fires only; worker-side injection is recorded by
@@ -157,12 +147,10 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
             });
 
     if (options_.translation_threads > 0 && options_.enable_hot_phase) {
-        HotPipeline::Config cfg;
-        cfg.threads = options_.translation_threads;
-        cfg.deterministic = options_.deterministic_adoption;
         FaultInjector *fi = inject_scope_.get();
         hot_pipeline_ = std::make_unique<HotPipeline>(
-            cfg, [this, fi](const HotCandidate &c, HotArtifact *out) {
+            options_.translation_threads,
+            [this, fi](const HotCandidate &c, HotArtifact *out) {
                 // Runs on a worker thread. The injection stream is
                 // keyed by the candidate's sequence number, never the
                 // worker, so chaos runs replay across thread counts.
@@ -213,6 +201,14 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
         });
         m->gauge("flight_dropped", [this] {
             return static_cast<double>(flight_.dropped());
+        });
+        m->gauge("fault_fires", [this] {
+            const FaultInjector *fi = inject_scope_.get();
+            return fi ? static_cast<double>(fi->totalFires()) : 0.0;
+        });
+        m->gauge("profile_events", [this] {
+            return profiler_ ? static_cast<double>(profiler_->eventCount())
+                             : 0.0;
         });
         m->counters("translator", &translator_->stats);
         m->counters("runtime", &stats_);
@@ -1094,8 +1090,6 @@ Runtime::run(ia32::State &state)
             while (next_audit_ <= machine_->totalCycles())
                 next_audit_ += static_cast<double>(period);
         }
-        if (profiler_)
-            profiler_->maybeSample(machine_->totalCycles());
         if (options_.metrics)
             options_.metrics->maybeEmit(machine_->totalCycles());
         if (options_.persist && options_.persist->journalDirty()) {

@@ -251,8 +251,8 @@ class Runtime
     // rings they write to are destroyed.
     flight::FlightRecorder flight_;
     ProvenanceLedger provenance_;
-    uint64_t dispatch_lookups_ = 0; //!< dispatchEntry() calls (sampled
-                                    //!< by the profiler time series).
+    uint64_t dispatch_lookups_ = 0; //!< dispatchEntry() calls (a
+                                    //!< metrics gauge).
     double fault_overhead_cycles_ = 0;
     double next_audit_ = 0;         //!< Next in-run closure audit, in
                                     //!< simulated cycles.

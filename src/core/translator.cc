@@ -1137,7 +1137,7 @@ Translator::commitHotArtifact(HotArtifact &art)
     if (!art.from_store) {
         // The session itself ran on a worker (or inline); stamp it at
         // its planned completion time so the timeline is identical
-        // across translation_threads in deterministic mode.
+        // across translation_threads.
         double ts = art.ready_cycles > 0 ? art.ready_cycles : rec_.now();
         rec_.emitAt({flight::Kind::HotResult, 0, ts, 0, prov_eip,
                      art.cold_block_id, art.ok});

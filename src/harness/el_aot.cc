@@ -205,7 +205,6 @@ main(int argc, char **argv)
         o.heat_threshold = heat_threshold;
         o.hot_batch = 1;
         o.translation_threads = threads;
-        o.deterministic_adoption = threads > 0;
         o.fault = fault;
         o.persist = &store;
         harness::TranslatedRun run =

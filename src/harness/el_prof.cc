@@ -9,19 +9,17 @@
  *                  the profiler's health counters
  *   --annotate[=N] the top-N blocks with their IA-32 disassembly and
  *                  the joined per-translation IPF cycle costs
- *   --csv[=file]   the sampled time series as CSV (stdout by default)
  *   --check        schema validation (used by CI on the uploaded
  *                  artifact); exits 0 when the file is a well-formed
- *                  profile with no dropped telemetry, 3 when it is
- *                  well-formed but lossy (ring overflow dropped
- *                  samples; --allow-drops downgrades this back to 0),
- *                  2 otherwise
+ *                  profile, 2 otherwise
+ *
+ * The run's time series (profile events, fault fires, queue depths) is
+ * not here: it is the el-metrics stream of `el_run --metrics-out`.
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -44,10 +42,7 @@ usage()
         "  --top=<n>        rows per table (default 10)\n"
         "  --annotate[=<n>] annotated listing of the <n> hottest\n"
         "                   blocks (default 5)\n"
-        "  --csv[=<file>]   dump the time series as CSV\n"
-        "  --check          validate the schema and exit (0 = ok,\n"
-        "                   3 = valid but telemetry was dropped)\n"
-        "  --allow-drops    with --check, accept dropped telemetry\n"
+        "  --check          validate the schema and exit (0 = ok)\n"
         "  --provenance[=<eip>|all]\n"
         "                   read a postmortem bundle (el_run\n"
         "                   --dump-on-exit) instead of a profile and\n"
@@ -232,42 +227,6 @@ printAnnotated(const Value &root, size_t top)
     }
 }
 
-int
-dumpCsv(const Value &root, const std::string &path)
-{
-    static const char *cols[] = {
-        "cycle",           "dispatch_lookups", "cache_occupancy",
-        "hot_queue_depth", "worker_inflight",  "fault_fires",
-        "profile_events"};
-
-    std::ostringstream out;
-    for (size_t c = 0; c < std::size(cols); ++c)
-        out << (c ? "," : "") << cols[c];
-    out << "\n";
-
-    const Value *samples = root.find("samples");
-    const Value *series = samples ? samples->find("series") : nullptr;
-    if (series && series->isArray())
-        for (const Value &s : series->arr) {
-            for (size_t c = 0; c < std::size(cols); ++c)
-                out << (c ? "," : "")
-                    << el::json::number(s.numberOr(cols[c], 0));
-            out << "\n";
-        }
-
-    if (path.empty()) {
-        std::fputs(out.str().c_str(), stdout);
-        return 0;
-    }
-    std::ofstream f(path, std::ios::binary);
-    f << out.str();
-    if (!f) {
-        std::fprintf(stderr, "el_prof: cannot write %s\n", path.c_str());
-        return 2;
-    }
-    return 0;
-}
-
 /**
  * Render provenance timelines from a postmortem bundle. @p filter is
  * empty (final hot set only), "all", or one entry point (hex or
@@ -358,7 +317,7 @@ checkSchema(const Value &root, std::string *error)
         return fail("top level is not an object");
     if (root.strOr("kind", "") != "el-profile")
         return fail("kind is not \"el-profile\"");
-    if (root.numberOr("version", 0) != 1)
+    if (root.numberOr("version", 0) != 2)
         return fail("unsupported version");
     if (!root.find("workload") || !root.find("workload")->isString())
         return fail("missing workload");
@@ -393,19 +352,6 @@ checkSchema(const Value &root, std::string *error)
             counted != s.numberOr("execs", 0))
             return fail("indirect target counts do not sum to execs");
     }
-    const Value *samples = root.find("samples");
-    if (!samples || !samples->isObject())
-        return fail("missing samples object");
-    const Value *series = samples->find("series");
-    if (!series || !series->isArray())
-        return fail("missing samples.series array");
-    double prev = -1;
-    for (const Value &s : series->arr) {
-        double cycle = s.numberOr("cycle", -1);
-        if (cycle <= prev)
-            return fail("samples.series cycles not increasing");
-        prev = cycle;
-    }
     return true;
 }
 
@@ -414,10 +360,9 @@ checkSchema(const Value &root, std::string *error)
 int
 main(int argc, char **argv)
 {
-    std::string path, csv_path, prov_filter;
+    std::string path, prov_filter;
     size_t top = 10, annotate = 0;
-    bool csv = false, check = false, provenance = false;
-    bool allow_drops = false;
+    bool check = false, provenance = false;
 
     el::initLogLevelFromEnv(); // Explicit --log-level overrides.
 
@@ -433,15 +378,8 @@ main(int argc, char **argv)
         } else if (arg.compare(0, 11, "--annotate=") == 0 &&
                    arg.size() > 11) {
             annotate = static_cast<size_t>(std::atoll(arg.c_str() + 11));
-        } else if (arg == "--csv") {
-            csv = true;
-        } else if (arg.compare(0, 6, "--csv=") == 0 && arg.size() > 6) {
-            csv = true;
-            csv_path = arg.c_str() + 6;
         } else if (arg == "--check") {
             check = true;
-        } else if (arg == "--allow-drops") {
-            allow_drops = true;
         } else if (arg == "--provenance") {
             provenance = true;
         } else if (arg.compare(0, 13, "--provenance=") == 0 &&
@@ -499,30 +437,11 @@ main(int argc, char **argv)
         return 2;
     }
     if (check) {
-        // A lossy profile is schema-valid but its per-block numbers
-        // under-count; CI gates on that separately from malformedness
-        // so a run that merely needs a bigger sample ring doesn't read
-        // as a corrupted artifact.
-        double drops = 0;
-        for (const auto &[name, v] : root.find("counters")->obj)
-            if (v.isNumber() && name.find("dropped") != std::string::npos)
-                drops += v.num;
-        if (drops > 0 && !allow_drops) {
-            std::fprintf(stderr,
-                         "el_prof: %s: valid el-profile but %.0f "
-                         "telemetry records were dropped (rerun with a "
-                         "larger ring, or pass --allow-drops)\n",
-                         path.c_str(), drops);
-            return 3;
-        }
-        std::printf("%s: valid el-profile (%s, %.0f events%s)\n",
+        std::printf("%s: valid el-profile (%s, %.0f events)\n",
                     path.c_str(), root.strOr("workload", "?").c_str(),
-                    root.find("counters")->numberOr("prof.events", 0),
-                    drops > 0 ? ", drops allowed" : "");
+                    root.find("counters")->numberOr("prof.events", 0));
         return 0;
     }
-    if (csv)
-        return dumpCsv(root, csv_path);
 
     std::printf("profile: %s  workload=%s  cycles=%.0f\n\n",
                 path.c_str(), root.strOr("workload", "?").c_str(),

@@ -77,7 +77,6 @@ usage()
         "  --workload=<name>      personality to run (default: gzip)\n"
         "  --list                 list known workloads and exit\n"
         "  --threads=<n>          hot-translation worker threads (0-64)\n"
-        "  --deterministic        deterministic pipeline adoption\n"
         "  --heat-threshold=<n>   block-use count registering hot\n"
         "  --hot-batch=<n>        candidates batched per session\n"
         "  --cache-capacity=<n>   bound the code cache (0 = unbounded)\n"
@@ -115,12 +114,8 @@ usage()
         "  --report-json=<file>   write the machine-readable run report\n"
         "  --profile-out=<file>   write the execution profile JSON\n"
         "                         (render it with el_prof)\n"
-        "  --profile-period=<n>   profile sample period, simulated\n"
-        "                         cycles (default 50000)\n"
         "  --profile-topk=<n>     indirect-target table size per site\n"
         "                         (default 8)\n"
-        "  --profile-ring=<n>     time-series ring capacity (default\n"
-        "                         512; oldest samples dropped)\n"
         "  --validate-trace=<f>   validate a trace file and exit\n"
         "  --metrics-out=<file>   write live telemetry snapshots as\n"
         "                         NDJSON (one el-metrics object per\n"
@@ -278,8 +273,6 @@ main(int argc, char **argv)
         } else if (const char *v = value("--threads=")) {
             options.translation_threads =
                 static_cast<uint32_t>(number(v, 0, max_threads));
-        } else if (arg == "--deterministic") {
-            options.deterministic_adoption = true;
         } else if (const char *v = value("--heat-threshold=")) {
             options.heat_threshold =
                 static_cast<uint32_t>(number(v, 0, UINT32_MAX));
@@ -320,12 +313,8 @@ main(int argc, char **argv)
             report_json = v;
         } else if (const char *v = value("--profile-out=")) {
             profile_out = v;
-        } else if (const char *v = value("--profile-period=")) {
-            prof_cfg.sample_period = number(v, 1, UINT64_MAX);
         } else if (const char *v = value("--profile-topk=")) {
             prof_cfg.topk = static_cast<uint32_t>(number(v, 0, UINT32_MAX));
-        } else if (const char *v = value("--profile-ring=")) {
-            prof_cfg.ring_capacity = number(v, 1, SIZE_MAX);
         } else if (const char *v = value("--validate-trace=")) {
             return validateTraceFile(v);
         } else if (const char *v = value("--metrics-out=")) {
@@ -530,11 +519,10 @@ main(int argc, char **argv)
                          profile_out.c_str());
             return exit_io;
         }
-        std::printf("profile: %s (%llu events, %zu samples)\n",
+        std::printf("profile: %s (%llu events)\n",
                     profile_out.c_str(),
                     static_cast<unsigned long long>(
-                        profiler.eventCount()),
-                    profiler.samples().size());
+                        profiler.eventCount()));
     }
 
     core::Attribution attr = core::attributionOf(*run.runtime);

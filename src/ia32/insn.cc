@@ -348,28 +348,6 @@ canFault(const Insn &insn)
 }
 
 bool
-accessesMemory(const Insn &insn)
-{
-    switch (insn.op) {
-      case Op::Push:
-      case Op::Pop:
-      case Op::Call:
-      case Op::CallInd:
-      case Op::Ret:
-      case Op::Leave:
-      case Op::Movs:
-      case Op::Stos:
-      case Op::Lods:
-        return true;
-      default:
-        break;
-    }
-    const OpInfo &info = opInfo(insn.op);
-    return (info.may_load || info.may_store) &&
-           (insn.dst.isMem() || insn.src.isMem());
-}
-
-bool
 writesMemory(const Insn &insn)
 {
     switch (insn.op) {

@@ -248,9 +248,6 @@ bool endsBlock(const Insn &insn);
  */
 bool canFault(const Insn &insn);
 
-/** True if the instruction reads or writes memory. */
-bool accessesMemory(const Insn &insn);
-
 /** True if the instruction writes memory (an irreversible action). */
 bool writesMemory(const Insn &insn);
 

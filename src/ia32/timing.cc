@@ -5,6 +5,22 @@
 namespace el::ia32
 {
 
+namespace
+{
+
+// Per-class cycle costs of the direct-execution model.
+constexpr double base_cpi = 0.5; // two-wide issue
+constexpr unsigned mul_cycles = 3;
+constexpr unsigned div_cycles = 20;
+constexpr unsigned fp_cycles = 4;
+constexpr unsigned fdiv_cycles = 23;
+constexpr unsigned branch_miss_cycles = 12;
+constexpr double indirect_miss_rate = 0.30; // BTB miss rate for indirects
+constexpr double cond_miss_rate = 0.05;     // conditional mispredict rate
+constexpr unsigned misalign_extra = 2;      // cheap on IA-32 (the point!)
+
+} // namespace
+
 StepResult
 DirectRunner::step()
 {
@@ -18,7 +34,7 @@ DirectRunner::step()
 void
 DirectRunner::charge(const Insn &insn, const State &pre)
 {
-    cycles_ += cfg_.base_cpi;
+    cycles_ += base_cpi;
     const OpInfo &info = opInfo(insn.op);
 
     auto eff = [&](const MemRef &m) {
@@ -34,7 +50,7 @@ DirectRunner::charge(const Insn &insn, const State &pre)
         unsigned lat = cache_.access(addr, size);
         cycles_ += lat > 1 ? lat - 1 : 0; // first cycle overlaps issue
         if (!isAligned(addr, size ? size : 1))
-            cycles_ += cfg_.misalign_extra;
+            cycles_ += misalign_extra;
     };
 
     // Explicit memory operands.
@@ -82,11 +98,11 @@ DirectRunner::charge(const Insn &insn, const State &pre)
       case Op::Imul2:
       case Op::Mul1:
       case Op::Imul1:
-        cycles_ += cfg_.mul_cycles;
+        cycles_ += mul_cycles;
         break;
       case Op::Div:
       case Op::Idiv:
-        cycles_ += cfg_.div_cycles;
+        cycles_ += div_cycles;
         break;
       case Op::Fdiv:
       case Op::Fdivr:
@@ -94,11 +110,11 @@ DirectRunner::charge(const Insn &insn, const State &pre)
       case Op::Divps:
       case Op::Divss:
       case Op::Sqrtss:
-        cycles_ += cfg_.fdiv_cycles;
+        cycles_ += fdiv_cycles;
         break;
       default:
         if (info.is_fp || info.is_sse)
-            cycles_ += cfg_.fp_cycles * 0.5; // pipelined FP
+            cycles_ += fp_cycles * 0.5; // pipelined FP
         break;
     }
 
@@ -108,13 +124,13 @@ DirectRunner::charge(const Insn &insn, const State &pre)
         double u = static_cast<double>(branch_seed_ >> 11) * 0x1.0p-53;
         double miss_rate = 0.0;
         if (insn.op == Op::Jcc)
-            miss_rate = cfg_.cond_miss_rate;
+            miss_rate = cond_miss_rate;
         else if (insn.op == Op::JmpInd || insn.op == Op::CallInd ||
                  insn.op == Op::Ret) {
-            miss_rate = cfg_.indirect_miss_rate;
+            miss_rate = indirect_miss_rate;
         }
         if (u < miss_rate)
-            cycles_ += cfg_.branch_miss_cycles;
+            cycles_ += branch_miss_cycles;
     }
 }
 

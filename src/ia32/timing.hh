@@ -21,28 +21,12 @@
 namespace el::ia32
 {
 
-/** Per-class cycle costs of the direct-execution model. */
-struct DirectTimingConfig
-{
-    double base_cpi = 0.5;          //!< Two-wide issue.
-    unsigned mul_cycles = 3;
-    unsigned div_cycles = 20;
-    unsigned fp_cycles = 4;
-    unsigned fdiv_cycles = 23;
-    unsigned branch_miss_cycles = 12;
-    double indirect_miss_rate = 0.30;  //!< BTB miss rate for indirects.
-    double cond_miss_rate = 0.05;      //!< Conditional mispredict rate.
-    unsigned misalign_extra = 2;       //!< Cheap on IA-32 (the point!).
-};
-
 /** Interpreter + cost model; accumulates cycles for a full guest run. */
 class DirectRunner
 {
   public:
-    DirectRunner(State &state, mem::Memory &memory,
-                 DirectTimingConfig cfg = {})
-        : interp_(state, memory), cache_(mem::CacheModel::xeon()),
-          cfg_(cfg)
+    DirectRunner(State &state, mem::Memory &memory)
+        : interp_(state, memory), cache_(mem::CacheModel::xeon())
     {}
 
     /**
@@ -78,7 +62,6 @@ class DirectRunner
 
     Interpreter interp_;
     mem::CacheModel cache_;
-    DirectTimingConfig cfg_;
     double cycles_ = 0.0;
     uint64_t branch_seed_ = 0x243f6a8885a308d3ULL;
 };

@@ -12,6 +12,17 @@ namespace el::ipf
 namespace
 {
 
+// Timing parameters, approximating a 1 GHz Itanium 2 (cycles).
+constexpr unsigned lat_alu = 1;
+constexpr unsigned lat_mul = 2;   // shladd chains / parallel ops
+constexpr unsigned lat_ld = 1;    // added on top of cache latency
+constexpr unsigned lat_fp = 4;
+constexpr unsigned lat_fdiv = 24; // frcpa + Newton pseudo-op
+constexpr unsigned lat_getf = 5;  // FR<->GR moves are slow (the paper's
+constexpr unsigned lat_setf = 5;  // reason MMX aliasing needs care)
+constexpr unsigned br_taken_bubble = 1;
+constexpr unsigned br_indirect_penalty = 6;
+
 /** Enumerate the general registers an instruction reads. */
 unsigned
 grSources(const Instr &i, uint8_t out[3])
@@ -431,84 +442,84 @@ Machine::execute(const Instr &i, StopInfo *stop)
 
       case IpfOp::Add:
         set_gr(i.dst, grs_[i.src1] + grs_[i.src2],
-               src_nat2(i.src1, i.src2), cfg_.lat_alu);
+               src_nat2(i.src1, i.src2), lat_alu);
         return true;
       case IpfOp::Sub:
         set_gr(i.dst, grs_[i.src1] - grs_[i.src2],
-               src_nat2(i.src1, i.src2), cfg_.lat_alu);
+               src_nat2(i.src1, i.src2), lat_alu);
         return true;
       case IpfOp::AddImm:
         set_gr(i.dst, grs_[i.src1] + static_cast<uint64_t>(i.imm),
-               nats_[i.src1], cfg_.lat_alu);
+               nats_[i.src1], lat_alu);
         return true;
       case IpfOp::And:
         set_gr(i.dst, grs_[i.src1] & grs_[i.src2],
-               src_nat2(i.src1, i.src2), cfg_.lat_alu);
+               src_nat2(i.src1, i.src2), lat_alu);
         return true;
       case IpfOp::Or:
         set_gr(i.dst, grs_[i.src1] | grs_[i.src2],
-               src_nat2(i.src1, i.src2), cfg_.lat_alu);
+               src_nat2(i.src1, i.src2), lat_alu);
         return true;
       case IpfOp::Xor:
         set_gr(i.dst, grs_[i.src1] ^ grs_[i.src2],
-               src_nat2(i.src1, i.src2), cfg_.lat_alu);
+               src_nat2(i.src1, i.src2), lat_alu);
         return true;
       case IpfOp::Andcm:
         set_gr(i.dst, grs_[i.src1] & ~grs_[i.src2],
-               src_nat2(i.src1, i.src2), cfg_.lat_alu);
+               src_nat2(i.src1, i.src2), lat_alu);
         return true;
       case IpfOp::Shl:
         set_gr(i.dst, grs_[i.src1] << (grs_[i.src2] & 63),
-               src_nat2(i.src1, i.src2), cfg_.lat_alu);
+               src_nat2(i.src1, i.src2), lat_alu);
         return true;
       case IpfOp::ShlImm:
         set_gr(i.dst, grs_[i.src1] << (i.imm & 63), nats_[i.src1],
-               cfg_.lat_alu);
+               lat_alu);
         return true;
       case IpfOp::Shr:
         set_gr(i.dst,
                static_cast<uint64_t>(static_cast<int64_t>(grs_[i.src1]) >>
                                      (grs_[i.src2] & 63)),
-               src_nat2(i.src1, i.src2), cfg_.lat_alu);
+               src_nat2(i.src1, i.src2), lat_alu);
         return true;
       case IpfOp::ShrU:
         set_gr(i.dst, grs_[i.src1] >> (grs_[i.src2] & 63),
-               src_nat2(i.src1, i.src2), cfg_.lat_alu);
+               src_nat2(i.src1, i.src2), lat_alu);
         return true;
       case IpfOp::ShrImm:
         set_gr(i.dst,
                static_cast<uint64_t>(static_cast<int64_t>(grs_[i.src1]) >>
                                      (i.imm & 63)),
-               nats_[i.src1], cfg_.lat_alu);
+               nats_[i.src1], lat_alu);
         return true;
       case IpfOp::ShrUImm:
         set_gr(i.dst, grs_[i.src1] >> (i.imm & 63), nats_[i.src1],
-               cfg_.lat_alu);
+               lat_alu);
         return true;
       case IpfOp::Shladd:
         set_gr(i.dst, (grs_[i.src1] << (i.imm & 7)) + grs_[i.src2],
-               src_nat2(i.src1, i.src2), cfg_.lat_alu);
+               src_nat2(i.src1, i.src2), lat_alu);
         return true;
       case IpfOp::Sxt:
         set_gr(i.dst,
                static_cast<uint64_t>(sext(grs_[i.src1], i.size * 8)),
-               nats_[i.src1], cfg_.lat_alu);
+               nats_[i.src1], lat_alu);
         return true;
       case IpfOp::Zxt:
         set_gr(i.dst, truncToSize(grs_[i.src1], i.size), nats_[i.src1],
-               cfg_.lat_alu);
+               lat_alu);
         return true;
       case IpfOp::Movl:
-        set_gr(i.dst, static_cast<uint64_t>(i.imm), false, cfg_.lat_alu);
+        set_gr(i.dst, static_cast<uint64_t>(i.imm), false, lat_alu);
         return true;
       case IpfOp::Mov:
-        set_gr(i.dst, grs_[i.src1], nats_[i.src1], cfg_.lat_alu);
+        set_gr(i.dst, grs_[i.src1], nats_[i.src1], lat_alu);
         return true;
       case IpfOp::MovToBr:
         brs_[i.dst & 7] = grs_[i.src1];
         return true;
       case IpfOp::MovFromBr:
-        set_gr(i.dst, brs_[i.src1 & 7], false, cfg_.lat_alu);
+        set_gr(i.dst, brs_[i.src1 & 7], false, lat_alu);
         return true;
 
       case IpfOp::Cmp:
@@ -582,29 +593,29 @@ Machine::execute(const Instr &i, StopInfo *stop)
       case IpfOp::Dep:
         set_gr(i.dst,
                insertBits(grs_[i.src2], i.pos, i.len, grs_[i.src1]),
-               src_nat2(i.src1, i.src2), cfg_.lat_alu);
+               src_nat2(i.src1, i.src2), lat_alu);
         return true;
       case IpfOp::DepZ:
         set_gr(i.dst,
                insertBits(0, i.pos, i.len, grs_[i.src1]),
-               nats_[i.src1], cfg_.lat_alu);
+               nats_[i.src1], lat_alu);
         return true;
       case IpfOp::Extr:
         set_gr(i.dst,
                static_cast<uint64_t>(
                    sext(bits(grs_[i.src1], i.pos, i.len), i.len)),
-               nats_[i.src1], cfg_.lat_alu);
+               nats_[i.src1], lat_alu);
         return true;
       case IpfOp::ExtrU:
         set_gr(i.dst, bits(grs_[i.src1], i.pos, i.len), nats_[i.src1],
-               cfg_.lat_alu);
+               lat_alu);
         return true;
       case IpfOp::Popcnt: {
         uint64_t v = grs_[i.src1];
         unsigned c = 0;
         for (; v; v &= v - 1)
             ++c;
-        set_gr(i.dst, c, nats_[i.src1], cfg_.lat_mul);
+        set_gr(i.dst, c, nats_[i.src1], lat_mul);
         return true;
       }
 
@@ -638,7 +649,7 @@ Machine::execute(const Instr &i, StopInfo *stop)
             }
             r = insertBits(r, k * lane_bits, lane_bits, lr);
         }
-        set_gr(i.dst, r, src_nat2(i.src1, i.src2), cfg_.lat_mul);
+        set_gr(i.dst, r, src_nat2(i.src1, i.src2), lat_mul);
         return true;
       }
 
@@ -675,14 +686,14 @@ Machine::execute(const Instr &i, StopInfo *stop)
         uint64_t addr = grs_[i.src1];
         if (nats_[i.src1]) {
             // Speculative chain: propagate the NaT.
-            set_gr(i.dst, 0, true, cfg_.lat_ld);
+            set_gr(i.dst, 0, true, lat_ld);
             return true;
         }
         uint64_t v = 0;
         auto r = mem_.read(addr, i.size, &v);
         if (!r.ok()) {
             if (i.spec == Spec::S) {
-                set_gr(i.dst, 0, true, cfg_.lat_ld); // defer into NaT
+                set_gr(i.dst, 0, true, lat_ld); // defer into NaT
                 return true;
             }
             stop->kind = StopKind::MemFault;
@@ -690,16 +701,16 @@ Machine::execute(const Instr &i, StopInfo *stop)
             stop->fault_is_write = false;
             return false;
         }
-        unsigned lat = cfg_.lat_ld + dcache_.access(addr, i.size);
+        unsigned lat = lat_ld + dcache_.access(addr, i.size);
         if (!isAligned(addr, i.size)) {
             ++misaligned_;
-            grp_extra_ += cfg_.misalign_penalty;
-            grp_misalign_ += cfg_.misalign_penalty;
+            grp_extra_ += misalign_penalty;
+            grp_misalign_ += misalign_penalty;
         }
         set_gr(i.dst, v, false, lat);
         if (i.imm != 0) // post-increment
             set_gr(i.src1, addr + static_cast<uint64_t>(i.imm), false,
-                   cfg_.lat_alu);
+                   lat_alu);
         return true;
       }
 
@@ -717,12 +728,12 @@ Machine::execute(const Instr &i, StopInfo *stop)
         dcache_.access(addr, i.size);
         if (!isAligned(addr, i.size)) {
             ++misaligned_;
-            grp_extra_ += cfg_.misalign_penalty;
-            grp_misalign_ += cfg_.misalign_penalty;
+            grp_extra_ += misalign_penalty;
+            grp_misalign_ += misalign_penalty;
         }
         if (i.imm != 0)
             set_gr(i.src1, addr + static_cast<uint64_t>(i.imm), false,
-                   cfg_.lat_alu);
+                   lat_alu);
         return true;
       }
 
@@ -736,7 +747,7 @@ Machine::execute(const Instr &i, StopInfo *stop)
             }
             ip_ = i.target;
             branched_ = true;
-            grp_extra_ += cfg_.br_taken_bubble;
+            grp_extra_ += br_taken_bubble;
         }
         return true;
 
@@ -752,11 +763,11 @@ Machine::execute(const Instr &i, StopInfo *stop)
             stop->fault_is_write = false;
             return false;
         }
-        unsigned lat = cfg_.lat_ld + dcache_.access(addr, bytes);
+        unsigned lat = lat_ld + dcache_.access(addr, bytes);
         if (!isAligned(addr, bytes == 10 ? 16 : bytes)) {
             ++misaligned_;
-            grp_extra_ += cfg_.misalign_penalty;
-            grp_misalign_ += cfg_.misalign_penalty;
+            grp_extra_ += misalign_penalty;
+            grp_misalign_ += misalign_penalty;
         }
         Fr &f = frs_[i.dst];
         if (i.size == 4) {
@@ -779,7 +790,7 @@ Machine::execute(const Instr &i, StopInfo *stop)
         fr_ready_[i.dst] = issue + lat;
         if (i.imm != 0)
             set_gr(i.src1, addr + static_cast<uint64_t>(i.imm), false,
-                   cfg_.lat_alu);
+                   lat_alu);
         return true;
       }
 
@@ -812,12 +823,12 @@ Machine::execute(const Instr &i, StopInfo *stop)
         dcache_.access(addr, bytes);
         if (!isAligned(addr, bytes == 10 ? 16 : bytes)) {
             ++misaligned_;
-            grp_extra_ += cfg_.misalign_penalty;
-            grp_misalign_ += cfg_.misalign_penalty;
+            grp_extra_ += misalign_penalty;
+            grp_misalign_ += misalign_penalty;
         }
         if (i.imm != 0)
             set_gr(i.src1, addr + static_cast<uint64_t>(i.imm), false,
-                   cfg_.lat_alu);
+                   lat_alu);
         return true;
       }
 
@@ -836,7 +847,7 @@ Machine::execute(const Instr &i, StopInfo *stop)
         } else {
             out = frs_[i.src1].bitsView();
         }
-        set_gr(i.dst, out, false, cfg_.lat_getf);
+        set_gr(i.dst, out, false, lat_getf);
         return true;
       }
 
@@ -855,7 +866,7 @@ Machine::execute(const Instr &i, StopInfo *stop)
         } else {
             frs_[i.dst].setBits(v);
         }
-        fr_ready_[i.dst] = issue + cfg_.lat_setf;
+        fr_ready_[i.dst] = issue + lat_setf;
         return true;
       }
 
@@ -871,7 +882,7 @@ Machine::execute(const Instr &i, StopInfo *stop)
         long double b = frs_[i.src2].valView();
         long double c = frs_[i.src3].valView();
         long double r = 0.0L;
-        unsigned lat = cfg_.lat_fp;
+        unsigned lat = lat_fp;
         if (i.prec == FpPrec::Single) {
             // Compute in the target precision so a single operation
             // rounds exactly once, matching IA-32 SSE semantics.
@@ -886,8 +897,8 @@ Machine::execute(const Instr &i, StopInfo *stop)
               case IpfOp::Fma: fr = fa * fb + fc; break;
               case IpfOp::Fms: fr = fa * fb - fc; break;
               case IpfOp::Fnma: fr = -(fa * fb) + fc; break;
-              case IpfOp::Fdiv: fr = fa / fb; lat = cfg_.lat_fdiv; break;
-              case IpfOp::Fsqrt: fr = std::sqrt(fb); lat = cfg_.lat_fdiv;
+              case IpfOp::Fdiv: fr = fa / fb; lat = lat_fdiv; break;
+              case IpfOp::Fsqrt: fr = std::sqrt(fb); lat = lat_fdiv;
                 break;
               default: el_panic("unreachable");
             }
@@ -904,8 +915,8 @@ Machine::execute(const Instr &i, StopInfo *stop)
               case IpfOp::Fma: fr = fa * fb + fc; break;
               case IpfOp::Fms: fr = fa * fb - fc; break;
               case IpfOp::Fnma: fr = -(fa * fb) + fc; break;
-              case IpfOp::Fdiv: fr = fa / fb; lat = cfg_.lat_fdiv; break;
-              case IpfOp::Fsqrt: fr = std::sqrt(fb); lat = cfg_.lat_fdiv;
+              case IpfOp::Fdiv: fr = fa / fb; lat = lat_fdiv; break;
+              case IpfOp::Fsqrt: fr = std::sqrt(fb); lat = lat_fdiv;
                 break;
               default: el_panic("unreachable");
             }
@@ -918,10 +929,10 @@ Machine::execute(const Instr &i, StopInfo *stop)
               case IpfOp::Fma: r = a * b + c; break;
               case IpfOp::Fms: r = a * b - c; break;
               case IpfOp::Fnma: r = -(a * b) + c; break;
-              case IpfOp::Fdiv: r = a / b; lat = cfg_.lat_fdiv; break;
+              case IpfOp::Fdiv: r = a / b; lat = lat_fdiv; break;
               case IpfOp::Fsqrt:
                 r = sqrtl(b);
-                lat = cfg_.lat_fdiv;
+                lat = lat_fdiv;
                 break;
               default: el_panic("unreachable");
             }
@@ -968,18 +979,18 @@ Machine::execute(const Instr &i, StopInfo *stop)
 
       case IpfOp::Fneg:
         frs_[i.dst].setVal(-frs_[i.src1].valView());
-        fr_ready_[i.dst] = issue + cfg_.lat_fp;
+        fr_ready_[i.dst] = issue + lat_fp;
         return true;
       case IpfOp::Fabs: {
         long double v = frs_[i.src1].valView();
         frs_[i.dst].setVal(v < 0 ? -v : v);
-        fr_ready_[i.dst] = issue + cfg_.lat_fp;
+        fr_ready_[i.dst] = issue + lat_fp;
         return true;
       }
       case IpfOp::FcvtXf:
         frs_[i.dst].setVal(static_cast<long double>(
             static_cast<int64_t>(frs_[i.src1].bitsView())));
-        fr_ready_[i.dst] = issue + cfg_.lat_fp;
+        fr_ready_[i.dst] = issue + lat_fp;
         return true;
       case IpfOp::FcvtFxTrunc: {
         long double v = frs_[i.src1].valView();
@@ -993,13 +1004,13 @@ Machine::execute(const Instr &i, StopInfo *stop)
             out = static_cast<int64_t>(v);
         }
         frs_[i.dst].setBits(static_cast<uint64_t>(out));
-        fr_ready_[i.dst] = issue + cfg_.lat_fp;
+        fr_ready_[i.dst] = issue + lat_fp;
         return true;
       }
       case IpfOp::Fmov:
       case IpfOp::Fpcvt:
         frs_[i.dst] = frs_[i.src1];
-        fr_ready_[i.dst] = issue + cfg_.lat_fp;
+        fr_ready_[i.dst] = issue + lat_fp;
         return true;
 
       case IpfOp::Fpadd:
@@ -1009,7 +1020,7 @@ Machine::execute(const Instr &i, StopInfo *stop)
         uint64_t a = frs_[i.src1].bitsView();
         uint64_t b = frs_[i.src2].bitsView();
         float lo, hi;
-        unsigned lat = cfg_.lat_fp;
+        unsigned lat = lat_fp;
         switch (i.op) {
           case IpfOp::Fpadd:
             lo = laneF32(a, 0) + laneF32(b, 0);
@@ -1026,7 +1037,7 @@ Machine::execute(const Instr &i, StopInfo *stop)
           case IpfOp::Fpdiv:
             lo = laneF32(a, 0) / laneF32(b, 0);
             hi = laneF32(a, 1) / laneF32(b, 1);
-            lat = cfg_.lat_fdiv;
+            lat = lat_fdiv;
             break;
           default:
             el_panic("unreachable");
@@ -1039,19 +1050,19 @@ Machine::execute(const Instr &i, StopInfo *stop)
       case IpfOp::Br:
         ip_ = i.target;
         branched_ = true;
-        grp_extra_ += cfg_.br_taken_bubble;
+        grp_extra_ += br_taken_bubble;
         return true;
       case IpfOp::BrCall:
         brs_[i.dst & 7] = static_cast<uint64_t>(ip_ + 1);
         ip_ = i.target;
         branched_ = true;
-        grp_extra_ += cfg_.br_taken_bubble;
+        grp_extra_ += br_taken_bubble;
         return true;
       case IpfOp::BrRet:
       case IpfOp::BrInd:
         ip_ = static_cast<int64_t>(brs_[i.src1 & 7]);
         branched_ = true;
-        grp_extra_ += cfg_.br_indirect_penalty;
+        grp_extra_ += br_indirect_penalty;
         return true;
 
       case IpfOp::Exit:

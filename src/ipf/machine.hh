@@ -115,19 +115,13 @@ struct StopInfo
     bool fault_is_write = false;
 };
 
-/** Timing parameters (defaults approximate a 1GHz Itanium 2). */
+/** Cycles an OS-assisted unaligned-access fix-up costs (the timing
+ *  model's other latencies live beside their reader, machine.cc). */
+constexpr unsigned misalign_penalty = 2000;
+
+/** Machine settings. */
 struct MachineConfig
 {
-    unsigned lat_alu = 1;
-    unsigned lat_mul = 2;        //!< shladd chains / parallel ops
-    unsigned lat_ld = 1;         //!< added on top of cache latency
-    unsigned lat_fp = 4;
-    unsigned lat_fdiv = 24;      //!< frcpa + Newton pseudo-op
-    unsigned lat_getf = 5;       //!< FR<->GR moves are slow (the paper's
-    unsigned lat_setf = 5;       //!< reason MMX aliasing needs care)
-    unsigned br_taken_bubble = 1;
-    unsigned br_indirect_penalty = 6;
-    unsigned misalign_penalty = 2000; //!< OS-assisted unaligned fix-up.
     bool verify_groups = false;  //!< Check no intra-group RAW/WAW deps.
 };
 
@@ -265,9 +259,6 @@ class Machine
     double syntheticCycles() const { return synthetic_cycles_; }
 
     double totalCycles() const { return stats_.totalCycles(); }
-
-    const MachineConfig &config() const { return cfg_; }
-    MachineConfig &config() { return cfg_; }
 
   private:
     /** Execute one instruction functionally. Returns false on stop. */

@@ -400,7 +400,7 @@ fingerprintOf(const guest::Image &image, const core::Options &o)
                    o.enable_eflags_elim, o.enable_fxch_elim,
                    o.enable_fp_stack_spec, o.enable_sse_format_spec,
                    o.enable_misalign_avoidance, o.enable_load_speculation,
-                   o.enable_chaining, o.enable_addr_cse})
+                   o.enable_chaining})
         toggles = (toggles << 1) | (t ? 1 : 0);
     fnvU64(oh, toggles);
     fp.opts_hash = oh;

@@ -9,8 +9,8 @@
  * simulated-cycle timestamp and duration, and four integer payload
  * words. Lane 0 is the guest/runtime thread, lane 1+k is hot-pipeline
  * worker slot k; worker events carry *planned* simulated times from the
- * candidate, never wall clock, so a deterministic run yields a
- * bit-identical stream regardless of host scheduling.
+ * candidate, never wall clock, so a rerun yields a bit-identical
+ * stream regardless of host scheduling.
  *
  * The kind table (kindInfo) says which consumers see each kind:
  *  - the tail: per-thread drop-oldest rings, the always-on black box a

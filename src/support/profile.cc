@@ -3,6 +3,19 @@
 namespace el::prof
 {
 
+namespace
+{
+
+// A canonical block is decoded to its first block-ending instruction
+// or this many instructions (the translator's own block cap).
+constexpr unsigned max_block_insns = 128;
+
+// The chain walk from the cursor to an event's block gives up (counting
+// a walk break) after this many statically successored blocks.
+constexpr unsigned max_walk = 64;
+
+} // namespace
+
 const GuestBlock *
 Profiler::resolveBlock(uint32_t entry)
 {
@@ -15,7 +28,7 @@ Profiler::resolveBlock(uint32_t entry)
     GuestBlock b;
     b.entry = entry;
     uint32_t ip = entry;
-    for (unsigned n = 0; n < cfg_.max_block_insns; ++n) {
+    for (unsigned n = 0; n < max_block_insns; ++n) {
         InsnInfo info = resolver_(ip);
         ++b.insns;
         if (info.kind != InsnKind::Plain) {
@@ -50,7 +63,7 @@ Profiler::walkTo(const std::function<bool(const GuestBlock &)> &matches)
     }
     uint32_t ip = cursor_;
     std::vector<uint32_t> visited;
-    for (unsigned i = 0; i <= cfg_.max_walk; ++i) {
+    for (unsigned i = 0; i <= max_walk; ++i) {
         const GuestBlock *b = resolveBlock(ip);
         if (!b)
             break;
@@ -224,24 +237,6 @@ Profiler::invalidateCode(uint32_t addr, uint32_t len)
     cursor_valid_ = false;
 }
 
-void
-Profiler::maybeSample(double now)
-{
-    if (now < 0)
-        return;
-    uint64_t n = static_cast<uint64_t>(now);
-    while (n >= next_sample_due_) {
-        Sample s;
-        s.cycle = next_sample_due_;
-        if (gather_)
-            gather_(&s);
-        s.profile_events = events_;
-        samples_.push(s);
-        ++samples_taken_;
-        next_sample_due_ += cfg_.sample_period;
-    }
-}
-
 StatGroup
 Profiler::counters() const
 {
@@ -258,8 +253,6 @@ Profiler::counters() const
     g.set("prof.cond_sites", cond_sites_.size());
     g.set("prof.indirect_sites", indirect_sites_.size());
     g.set("prof.topk_evictions", evictions_);
-    g.set("prof.samples", samples_taken_);
-    g.set("prof.samples_dropped", samples_.dropped());
     return g;
 }
 

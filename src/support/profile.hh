@@ -1,8 +1,9 @@
 /**
  * @file
  * Online execution profiler: per-block execution counters, per-exit
- * edge counters, indirect-branch value profiles and a time-series
- * metrics sampler.
+ * edge counters and indirect-branch value profiles. The run's time
+ * series, the profiler's event count among it, is the metrics::Registry
+ * stream.
  *
  * The profiler observes *guest architectural* events, not translation
  * events. The machine reports the probe instructions it visits —
@@ -30,7 +31,6 @@
 #include <map>
 #include <vector>
 
-#include "support/ring.hh"
 #include "support/stats.hh"
 
 namespace el::prof
@@ -116,53 +116,23 @@ struct IndirectSite
     std::vector<TargetCount> targets; //!< At most Config::topk entries.
 };
 
-/** One time-series sample. All values are point-in-time gauges except
- *  the monotonic dispatch_lookups / fault_fires / profile_events. */
-struct Sample
-{
-    uint64_t cycle = 0; //!< Period boundary (simulated cycles).
-    uint64_t dispatch_lookups = 0;
-    uint64_t cache_occupancy = 0;
-    uint64_t hot_queue_depth = 0;
-    uint64_t worker_inflight = 0;
-    uint64_t fault_fires = 0;
-    uint64_t profile_events = 0;
-};
-
-/** Fills the runtime-owned metrics of a Sample (cycle/profile_events
- *  are filled by the profiler itself). */
-using SampleGather = std::function<void(Sample *s)>;
-
 /** Profiler tunables. */
 struct Config
 {
     unsigned topk = 8;             //!< Targets tracked per indirect site.
-    uint64_t sample_period = 50000; //!< Simulated cycles between samples.
-    size_t ring_capacity = 512;    //!< Max retained samples (ring).
-    unsigned max_walk = 64;        //!< Chain-walk bound (blocks/event).
-    unsigned max_block_insns = 128; //!< Canonical block decode cap.
 };
 
 /** The online execution profiler. */
 class Profiler
 {
   public:
-    explicit Profiler(Config cfg = {})
-        : cfg_(cfg),
-          samples_(cfg.ring_capacity ? cfg.ring_capacity : 1,
-                   RingPolicy::DropOldest)
+    explicit Profiler(Config cfg = {}) : cfg_(cfg)
     {
         if (cfg_.topk == 0)
             cfg_.topk = 1;
-        if (cfg_.sample_period == 0)
-            cfg_.sample_period = 1;
-        if (cfg_.ring_capacity == 0)
-            cfg_.ring_capacity = 1;
-        next_sample_due_ = cfg_.sample_period;
     }
 
     void setResolver(InsnResolver r) { resolver_ = std::move(r); }
-    void setSampleGather(SampleGather g) { gather_ = std::move(g); }
 
     // ----- event intake (machine probe reports) ----------------------
 
@@ -200,11 +170,6 @@ class Profiler
      *  (self-modifying code). Counters are retained. */
     void invalidateCode(uint32_t addr, uint32_t len);
 
-    // ----- sampling ---------------------------------------------------
-
-    /** Take every sample due at or before simulated time @p now. */
-    void maybeSample(double now);
-
     // ----- results ----------------------------------------------------
 
     /** Completed architectural executions per canonical block entry. */
@@ -222,9 +187,6 @@ class Profiler
     {
         return indirect_sites_;
     }
-
-    const BoundedRing<Sample> &samples() const { return samples_; }
-    uint64_t samplesDropped() const { return samples_.dropped(); }
 
     const std::map<uint32_t, GuestBlock> &blocks() const
     {
@@ -256,7 +218,6 @@ class Profiler
 
     Config cfg_;
     InsnResolver resolver_;
-    SampleGather gather_;
 
     std::map<uint32_t, GuestBlock> blocks_; //!< Canonical block cache.
     std::map<uint32_t, uint64_t> block_execs_;
@@ -265,13 +226,6 @@ class Profiler
 
     uint32_t cursor_ = 0;       //!< Entry of the block being executed.
     bool cursor_valid_ = false;
-
-    /** Drop-oldest: the time series keeps the most recent window
-     *  (the Chrome capture makes the opposite choice; see
-     *  support/ring.hh). */
-    BoundedRing<Sample> samples_;
-    uint64_t samples_taken_ = 0;
-    uint64_t next_sample_due_ = 0;
 
     uint64_t events_ = 0;
     uint64_t cond_events_ = 0;

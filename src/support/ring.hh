@@ -2,14 +2,15 @@
  * @file
  * Bounded ring buffer shared by the observability recorders.
  *
- * The event stream's consumers and the profiler keep fixed-capacity
- * buffers so an instrumented run can never grow without bound; they
- * differ only in which end overflow sacrifices. The Chrome capture
- * keeps the *oldest* events (drop-newest: the front of a lifecycle
- * trace explains the rest); the flight tail and the profiler keep the
- * *newest* (drop-oldest: a black box and a time series want the most
- * recent window). Divergence-sentinel visit logs reuse the same type. Every drop is counted so consumers can tell a complete
- * recording from a truncated one.
+ * The event stream's consumers keep fixed-capacity buffers so an
+ * instrumented run can never grow without bound; they differ only in
+ * which end overflow sacrifices. The Chrome capture keeps the *oldest*
+ * events (drop-newest: the front of a lifecycle trace explains the
+ * rest); the flight tail and the provenance timelines keep the *newest*
+ * (drop-oldest: a black box wants the most recent window).
+ * Divergence-sentinel visit logs reuse the same type. Every drop is
+ * counted so consumers can tell a complete recording from a truncated
+ * one.
  */
 
 #ifndef EL_SUPPORT_RING_HH

@@ -72,7 +72,6 @@ TEST_P(AdversarialDiff, MatchesInterpreterPipelined)
     std::vector<Workload> suite = guest::adversarialSuite();
     core::Options opts;
     opts.translation_threads = 4;
-    opts.deterministic_adoption = true;
     diffWorkload(byName(suite, GetParam()), opts);
 }
 
@@ -120,7 +119,6 @@ TEST(AdversarialWorkloads, InvalidationCostsTrackChangedCode)
                          std::to_string(threads));
             core::Options opts;
             opts.translation_threads = threads;
-            opts.deterministic_adoption = threads > 0;
             harness::TranslatedRun tr;
             diffWorkload(byName(suite, name), opts, &tr);
             ASSERT_TRUE(tr.runtime);

@@ -163,6 +163,10 @@ TEST(CliExitCodes, UsageErrorIsOne)
     EXPECT_EQ(runCli("--workload="), 1);
     EXPECT_EQ(runCli("--workload=no_such_personality"), 1);
     EXPECT_EQ(runCli("--workload=jit_rewriter --log-level=verbose"), 1);
+    // No flag selects the adoption mode or a profiler time series.
+    EXPECT_EQ(runCli("--workload=jit_rewriter --deterministic"), 1);
+    EXPECT_EQ(runCli("--workload=jit_rewriter --profile-period=1000"), 1);
+    EXPECT_EQ(runCli("--workload=jit_rewriter --profile-ring=4"), 1);
 }
 
 TEST(CliExitCodes, MalformedNumbersAreUsageErrors)
@@ -197,7 +201,7 @@ TEST(CliExitCodes, TraceOutRoundTripValidates)
     std::string path = testing::TempDir() + "el_trace_roundtrip.json";
     std::remove(path.c_str());
     ASSERT_EQ(runCli("--workload=jit_rewriter --threads=2 "
-                     "--deterministic --trace-out=" + path),
+                     "--trace-out=" + path),
               0);
     EXPECT_EQ(runCli("--validate-trace=" + path), 0);
     // A truncated copy must be refused.
@@ -256,9 +260,7 @@ TEST(CliExitCodes, AuditViolationIsForty)
 TEST(CliExitCodes, AuditPassesCleanRuns)
 {
     EXPECT_EQ(runCli("--workload=jit_rewriter --audit"), 0);
-    EXPECT_EQ(runCli("--workload=jit_rewriter --audit --threads=2 "
-                     "--deterministic"),
-              0);
+    EXPECT_EQ(runCli("--workload=jit_rewriter --audit --threads=2"), 0);
 }
 
 TEST(CliExitCodes, AuditPeriodSetsTheInRunAuditRate)

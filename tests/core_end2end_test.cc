@@ -648,12 +648,66 @@ TEST(End2End, FlagLivenessDoesNotTrustRewritableCode)
             core::Options o;
             o.enable_hot_phase = hot;
             o.translation_threads = threads;
-            o.deterministic_adoption = threads != 0;
             if (hot) {
                 o.heat_threshold = 4;
                 o.hot_batch = 1;
             }
             diffRun(img, OsAbi::Linux, o);
+        }
+    }
+}
+
+TEST(End2End, SixteenBitRegisterAccessKeepsUpperHalves)
+{
+    // `fnstsw ax` and `mov dx, [m16]` replace only the low halves of
+    // registers whose upper halves are live and non-zero, and
+    // `mov [m16], dx` stores just the low half: the 16-bit register
+    // paths (EmitEnv::readGuest16 / writeGuest16) in cold code and in
+    // a hot loop trace.
+    Assembler as(Layout::code_base);
+    as.fninit();
+    as.movRI(RegEbx, Layout::data_base);
+    as.movMI(memb(RegEbx, 0), 0x1234BEEFu);
+    as.movRI(RegEdi, 0);
+    as.movRI(RegEcx, 4000); // long enough to adopt a worker's trace
+    Label top = as.label();
+    as.bind(top);
+    as.movRI(RegEax, 0xA5A50000u);
+    as.fld1();     // TOP = 7
+    as.fnstswAx(); // ax = 0x3800, eax[31:16] stays 0xA5A5
+    as.fstM64(memb(RegEbx, 8), true);
+    as.aluRR(Op::Add, RegEdi, RegEax);
+    as.movRI(RegEdx, 0xC3C30000u);
+    as.aluRR(Op::Add, RegEdx, RegEcx);
+    as.movRM16(RegEdx, memb(RegEbx, 0)); // dx = 0xBEEF
+    as.bytes({0x66, 0x89, 0x53, 0x04});  // mov [ebx+4], dx
+    as.aluRR(Op::Add, RegEdi, RegEdx);
+    as.aluRM(Op::Add, RegEdi, memb(RegEbx, 4));
+    as.decR(RegEcx);
+    as.jcc(Cond::NE, top);
+    as.movRR(RegEax, RegEdi);
+    emitExitEax(as);
+    Image img = makeImage(as);
+
+    for (bool hot : {false, true}) {
+        for (unsigned threads : {0u, 4u}) {
+            SCOPED_TRACE(std::string(hot ? "hot" : "cold") +
+                         " threads=" + std::to_string(threads));
+            core::Options o;
+            o.enable_hot_phase = hot;
+            o.translation_threads = threads;
+            if (hot) {
+                o.heat_threshold = 4;
+                o.hot_batch = 1;
+            }
+            diffRun(img, OsAbi::Linux, o);
+            if (hot) {
+                harness::TranslatedRun tr =
+                    harness::runTranslated(img, OsAbi::Linux, o);
+                EXPECT_GE(tr.runtime->translator().stats.get(
+                              "xlate.hot_blocks"),
+                          1u);
+            }
         }
     }
 }
@@ -811,7 +865,6 @@ expectStopExits(const StopGuest &g, const char *exit_stat,
                          " threads=" + std::to_string(threads));
             core::Options o;
             o.translation_threads = threads;
-            o.deterministic_adoption = threads != 0;
             if (hot) {
                 o.heat_threshold = 4;
                 o.hot_batch = 1;
@@ -927,13 +980,6 @@ TEST(Ablation, LoadSpeculationOffAgreesAndMovesCycles)
 TEST(Ablation, ChainingOffAgreesAndMovesCycles)
 {
     EXPECT_GE(guestsMovedByAblation(&core::Options::enable_chaining), 1u);
-}
-
-TEST(Ablation, AddrCseOffAgrees)
-{
-    // Address CSE fires on these guests but has moved no cycles on any
-    // measured workload, so only bit-exactness is asserted.
-    guestsMovedByAblation(&core::Options::enable_addr_cse);
 }
 
 } // namespace

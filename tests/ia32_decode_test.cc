@@ -349,7 +349,7 @@ TEST(Decode, ClassificationHelpers)
 
     Insn mov_rr = dec({0x89, 0xd8});
     EXPECT_FALSE(canFault(mov_rr));
-    EXPECT_FALSE(accessesMemory(mov_rr));
+    EXPECT_FALSE(writesMemory(mov_rr));
 
     Insn jcc = dec({0x74, 0x00});
     EXPECT_TRUE(endsBlock(jcc));

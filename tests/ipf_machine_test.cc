@@ -571,7 +571,7 @@ TEST(IpfMachine, MisalignmentChargesHugePenalty)
     Machine m(e.code, mem);
     m.run(0);
     EXPECT_EQ(m.misalignedAccesses(), 1u);
-    EXPECT_GE(m.totalCycles(), m.config().misalign_penalty);
+    EXPECT_GE(m.totalCycles(), misalign_penalty);
 }
 
 TEST(IpfMachine, AlignedAccessIsCheap)

@@ -55,7 +55,6 @@ baseOpts(unsigned threads = 0)
     o.heat_threshold = 16;
     o.hot_batch = 1;
     o.translation_threads = threads;
-    o.deterministic_adoption = threads > 0;
     return o;
 }
 

@@ -4,8 +4,9 @@
  * be bit-identical across translation-thread counts, attaching the
  * profiler (and the tracer alongside it) must never perturb simulated
  * cycles, the indirect value profiles must cross-validate against the
- * runtime's own fast-lookup statistics, the sampler ring must bound its
- * memory, and the profile JSON must parse with the documented schema.
+ * runtime's own fast-lookup statistics, the metrics stream must carry
+ * the profiler's time series, and the profile JSON must parse with the
+ * documented schema.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "guest/workloads.hh"
 #include "harness/exec.hh"
 #include "support/json.hh"
+#include "support/metrics.hh"
 #include "support/profile.hh"
 #include "support/strfmt.hh"
 
@@ -32,7 +34,6 @@ profOpts(unsigned threads, prof::Profiler *profiler)
     o.heat_threshold = 16;
     o.hot_batch = 1;
     o.translation_threads = threads;
-    o.deterministic_adoption = threads > 0;
     o.profiler = profiler;
     return o;
 }
@@ -56,6 +57,17 @@ craftyWorkload()
     return guest::buildBranchy("crafty", p);
 }
 
+/** A self-modifying guest: rewritten code drops cached canonical
+ *  blocks (Profiler::invalidateCode) mid-run. */
+guest::Workload
+jitRewriterWorkload()
+{
+    guest::WorkloadParams p;
+    p.outer_iters = 24;
+    p.size = 300;
+    return guest::buildJitRewriter("jit_rewriter", p);
+}
+
 guest::Workload
 parserWorkload()
 {
@@ -69,9 +81,9 @@ parserWorkload()
  * Stable text encoding of every architectural counter the profiler
  * guarantees across thread counts: block executions, conditional
  * taken/fall edges, and the full indirect value profiles. The
- * via_link/via_dispatch diagnostics and the sampled gauges are
- * deliberately excluded — they reflect translation phase and adoption
- * timing, which legitimately differ.
+ * via_link/via_dispatch diagnostics are deliberately excluded — they
+ * reflect translation phase and adoption timing, which legitimately
+ * differ.
  */
 std::string
 profSignature(const prof::Profiler &p)
@@ -139,7 +151,7 @@ TEST(Profile, TracerAndProfilerTogetherCyclesBitIdentical)
 TEST(Profile, CountersIdenticalAcrossThreadCounts)
 {
     for (const guest::Workload &w :
-         {gzipWorkload(), craftyWorkload()}) {
+         {gzipWorkload(), craftyWorkload(), jitRewriterWorkload()}) {
         std::string ref;
         for (unsigned threads : {0u, 1u, 4u}) {
             prof::Profiler p;
@@ -204,26 +216,40 @@ TEST(Profile, IndirectProfileCrossValidatesAgainstStats)
     EXPECT_GE(dominant_share, hit_rate);
 }
 
-// ----- sampler -----------------------------------------------------------
+// ----- time series --------------------------------------------------------
 
-TEST(Profile, SamplerRingBoundsMemoryAndDropsOldest)
+TEST(Profile, MetricsStreamCarriesProfilerSeries)
 {
+    // The run's one time series is the metrics registry: with the
+    // profiler and fault injection on, a snapshot carries the profiler's
+    // event count and the fault fires beside the runtime gauges.
     guest::Workload w = gzipWorkload();
-    prof::Config cfg;
-    cfg.sample_period = 1000;
-    cfg.ring_capacity = 4;
-    prof::Profiler p(cfg);
-    harness::TranslatedRun r = harness::runTranslated(
-        w.image, w.params.abi, profOpts(0, &p));
+    prof::Profiler p;
+    metrics::Registry reg;
+    core::Options o = profOpts(4, &p);
+    o.metrics = &reg;
+    o.fault.seed = 3;
+    o.fault.site(FaultSite::ColdXlateAbort, 512);
+    harness::TranslatedRun r =
+        harness::runTranslated(w.image, w.params.abi, o);
     ASSERT_TRUE(r.outcome.exited);
-    EXPECT_LE(p.samples().size(), 4u);
-    EXPECT_GT(p.samplesDropped(), 0u);
-    uint64_t prev = 0;
-    for (const prof::Sample &s : p.samples()) {
-        EXPECT_GT(s.cycle, prev); // period boundaries, increasing
-        EXPECT_EQ(s.cycle % cfg.sample_period, 0u);
-        prev = s.cycle;
-    }
+
+    json::Value root;
+    std::string error;
+    ASSERT_TRUE(json::Parser::parse(reg.snapshotJson(r.outcome.cycles),
+                                    &root, &error))
+        << error;
+    const json::Value *gauges = root.find("gauges");
+    ASSERT_NE(gauges, nullptr);
+    for (const char *name : {"dispatch_lookups", "cache_occupancy",
+                             "hot_queue_depth", "worker_inflight",
+                             "fault_fires", "profile_events"})
+        EXPECT_NE(gauges->find(name), nullptr) << name;
+    EXPECT_EQ(gauges->numberOr("profile_events", -1),
+              static_cast<double>(p.eventCount()));
+    EXPECT_EQ(gauges->numberOr("fault_fires", -1),
+              static_cast<double>(r.runtime->faultInjector()->totalFires()));
+    EXPECT_GT(gauges->numberOr("fault_fires", 0), 0);
 }
 
 // ----- export ------------------------------------------------------------
@@ -244,7 +270,7 @@ TEST(Profile, ProfileJsonParsesWithSchema)
     ASSERT_TRUE(json::Parser::parse(text, &v, &error)) << error;
 
     EXPECT_EQ(v.strOr("kind", ""), "el-profile");
-    EXPECT_EQ(v.numberOr("version", 0), 1);
+    EXPECT_EQ(v.numberOr("version", 0), 2);
     EXPECT_EQ(v.strOr("workload", ""), w.name);
     EXPECT_EQ(v.numberOr("cycles", -1), r.outcome.cycles);
 
@@ -269,13 +295,6 @@ TEST(Profile, ProfileJsonParsesWithSchema)
         EXPECT_TRUE(arr->isArray()) << key;
         EXPECT_FALSE(arr->arr.empty()) << key;
     }
-
-    const json::Value *samples = v.find("samples");
-    ASSERT_NE(samples, nullptr);
-    const json::Value *series = samples->find("series");
-    ASSERT_NE(series, nullptr);
-    EXPECT_TRUE(series->isArray());
-    EXPECT_FALSE(series->arr.empty());
 
     const json::Value *counters = v.find("counters");
     ASSERT_NE(counters, nullptr);

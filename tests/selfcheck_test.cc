@@ -37,13 +37,12 @@ victim()
 }
 
 core::Options
-baseOpts(unsigned threads = 0, bool deterministic = false)
+baseOpts(unsigned threads = 0)
 {
     core::Options o;
     o.heat_threshold = 16;
     o.hot_batch = 1;
     o.translation_threads = threads;
-    o.deterministic_adoption = deterministic;
     return o;
 }
 
@@ -57,14 +56,63 @@ sameGuestOutcome(const harness::Outcome &a, const harness::Outcome &b)
            a.final_state.equalsArch(b.final_state);
 }
 
-/** baseOpts() with the Miscompile site armed at @p seed. */
+/** baseOpts(@p threads) with the Miscompile site armed at @p seed. */
 core::Options
-miscompileOpts(uint64_t seed)
+miscompileOpts(uint64_t seed, unsigned threads = 0)
 {
-    core::Options o = baseOpts();
+    core::Options o = baseOpts(threads);
     o.fault.seed = seed;
     o.fault.site(FaultSite::Miscompile, 128);
     return o;
+}
+
+/** Simulated cycles of the victim's synchronous run, no injection. */
+double
+cleanVictimCycles()
+{
+    static const double cycles = [] {
+        Workload w = victim();
+        return harness::runTranslated(w.image, w.params.abi, baseOpts())
+            .outcome.cycles;
+    }();
+    return cycles;
+}
+
+/**
+ * An unguarded miscompiled victim run stops at this multiple of the
+ * clean run's cycles. Every corrupted run that terminates ends within
+ * about 13x; one that never terminates would otherwise spend the whole
+ * 400 M-cycle budget to be classified the same way (skipped). A much
+ * lower cap reclassifies: at 2x, slow but terminating seeds end in it.
+ */
+constexpr double victim_cycle_cap = 100;
+
+/** How a seed's unguarded run compares with the oracle. */
+enum class Verdict
+{
+    Skipped,       //!< Never terminated (ends in the cycle cap).
+    Consequential, //!< Terminated with a different guest outcome.
+    Neutral,       //!< Terminated with the oracle's outcome.
+};
+
+/** The unguarded run of @p seed, capped at @p cap x the clean run. */
+harness::TranslatedRun
+unguardedRun(const Workload &w, uint64_t seed, unsigned threads = 0,
+             double cap = victim_cycle_cap)
+{
+    core::Options o = miscompileOpts(seed, threads);
+    o.max_run_cycles =
+        static_cast<uint64_t>(cap * cleanVictimCycles());
+    return harness::runTranslated(w.image, w.params.abi, o);
+}
+
+Verdict
+verdictOf(const harness::Outcome &ref, const harness::Outcome &run)
+{
+    if (run.internal_error)
+        return Verdict::Skipped;
+    return sameGuestOutcome(ref, run) ? Verdict::Neutral
+                                      : Verdict::Consequential;
 }
 
 /**
@@ -81,16 +129,10 @@ sweepSeeds()
     static const std::vector<uint64_t> seeds = [] {
         std::vector<uint64_t> out;
         Workload w = victim();
-        const double clean_cycles =
-            harness::runTranslated(w.image, w.params.abi, baseOpts())
-                .outcome.cycles;
         unsigned fired = 0;
         for (uint64_t seed = 1; seed <= 200 && fired < 18; ++seed) {
             out.push_back(seed);
-            core::Options o = miscompileOpts(seed);
-            o.max_run_cycles = static_cast<uint64_t>(2 * clean_cycles);
-            harness::TranslatedRun run =
-                harness::runTranslated(w.image, w.params.abi, o);
+            harness::TranslatedRun run = unguardedRun(w, seed, 0, 2);
             fired += run.runtime->translator().stats.get(
                          "xlate.miscompiles_injected") > 0;
         }
@@ -121,11 +163,11 @@ ledgerHasAdverseRow(const sentinel::Sentinel &s)
 //
 // One caveat the region protocol implies: a corruption that turns a
 // bounded loop into an effectively unbounded one never reaches a
-// dispatch boundary, so there is no region end to arbitrate and both
-// translated runs exhaust the cycle budget. Those seeds (which ones
+// dispatch boundary, so there is no region end to arbitrate and a
+// translated run exhausts its cycle budget. Those seeds (which ones
 // shifts whenever translation changes) are reported as internal errors,
-// not silent wrong answers, and are excluded from the bit-identical
-// clause.
+// not silent wrong answers, and are skipped; the unguarded run that
+// finds them is capped at victim_cycle_cap x the clean run.
 
 class MiscompileSweep : public ::testing::TestWithParam<uint64_t>
 {
@@ -138,22 +180,20 @@ TEST_P(MiscompileSweep, SelfcheckDetectsAndRepairs)
     harness::Outcome ref = harness::runInterpreter(w.image, w.params.abi);
     ASSERT_TRUE(ref.exited);
 
-    core::Options opts = miscompileOpts(seed);
-
-    harness::TranslatedRun unguarded =
-        harness::runTranslated(w.image, w.params.abi, opts);
-    if (unguarded.outcome.internal_error) {
+    harness::TranslatedRun unguarded = unguardedRun(w, seed);
+    const Verdict verdict = verdictOf(ref, unguarded.outcome);
+    if (verdict == Verdict::Skipped) {
         // Corruption produced a non-terminating region (see note above):
         // loudly reported, nothing silent to arbitrate.
         GTEST_SKIP() << "seed " << seed << " corrupts into cycle limit: "
                      << unguarded.outcome.internal_reason;
     }
-    const bool consequential = !sameGuestOutcome(ref, unguarded.outcome);
+    const bool consequential = verdict == Verdict::Consequential;
 
     sentinel::Config cfg;
     cfg.selfcheck_rate = 1;
     sentinel::Sentinel sent(cfg);
-    core::Options guarded_opts = opts;
+    core::Options guarded_opts = miscompileOpts(seed);
     guarded_opts.sentinel = &sent;
     harness::TranslatedRun guarded =
         harness::runTranslated(w.image, w.params.abi, guarded_opts);
@@ -191,26 +231,55 @@ TEST(Selfcheck, SweepHasTeeth)
     // Guard against the sweep silently degenerating: across the sweep's
     // seeds (18 of which corrupt something), a healthy fraction of
     // corruptions must actually change the unguarded answer (otherwise
-    // the detection clause above is vacuous).
+    // the detection clause above is vacuous). A run the cap stops gave
+    // no answer at all, which changes it too.
+    //
+    // The cycle cap must not decide any verdict. A terminating run
+    // stops on its own whatever the cap, so its verdict holds at any
+    // cap it fits under; it must fit with room to spare. A seed the cap
+    // stopped must still be stopped at twice the cap.
     Workload w = victim();
     harness::Outcome ref = harness::runInterpreter(w.image, w.params.abi);
+    const double cap_cycles = victim_cycle_cap * cleanVictimCycles();
     int consequential = 0;
     for (uint64_t seed : sweepSeeds()) {
-        harness::TranslatedRun run = harness::runTranslated(
-            w.image, w.params.abi, miscompileOpts(seed));
-        consequential += !sameGuestOutcome(ref, run.outcome);
+        harness::TranslatedRun run = unguardedRun(w, seed);
+        Verdict verdict = verdictOf(ref, run.outcome);
+        consequential += verdict != Verdict::Neutral;
+        if (verdict != Verdict::Skipped) {
+            EXPECT_LE(run.outcome.cycles, cap_cycles / 4)
+                << "seed " << seed << " ends near the cycle cap";
+        } else {
+            harness::TranslatedRun longer =
+                unguardedRun(w, seed, 0, 2 * victim_cycle_cap);
+            EXPECT_EQ(verdictOf(ref, longer.outcome), Verdict::Skipped)
+                << "seed " << seed << " terminates past the cycle cap";
+        }
     }
     EXPECT_GE(consequential, 4) << "miscompile injection lost its bite";
 }
 
 TEST(Selfcheck, WorksWithPipelineWorkers)
 {
+    // The first three seeds whose Miscompile site fires with 4 workers
+    // and whose corruption terminates (a seed that corrupts nothing
+    // tests nothing, and which seeds fire moves whenever the emitted
+    // code does). At least one must change the unguarded answer, and
+    // every guarded run must give the oracle's.
     Workload w = victim();
     harness::Outcome ref = harness::runInterpreter(w.image, w.params.abi);
-    for (uint64_t seed : {3u, 7u, 11u}) {
-        core::Options opts = baseOpts(4, true);
-        opts.fault.seed = seed;
-        opts.fault.site(FaultSite::Miscompile, 128);
+    unsigned tested = 0, consequential = 0;
+    for (uint64_t seed = 1; seed <= 200 && tested < 3; ++seed) {
+        harness::TranslatedRun unguarded = unguardedRun(w, seed, 4);
+        Verdict verdict = verdictOf(ref, unguarded.outcome);
+        if (verdict == Verdict::Skipped ||
+            unguarded.runtime->translator().stats.get(
+                "xlate.miscompiles_injected") == 0)
+            continue;
+        ++tested;
+        consequential += verdict == Verdict::Consequential;
+
+        core::Options opts = miscompileOpts(seed, 4);
         sentinel::Config cfg;
         cfg.selfcheck_rate = 1;
         sentinel::Sentinel sent(cfg);
@@ -226,6 +295,8 @@ TEST(Selfcheck, WorksWithPipelineWorkers)
             guarded.outcome.final_state, &why))
             << "seed " << seed << ": " << why;
     }
+    EXPECT_EQ(tested, 3u);
+    EXPECT_GE(consequential, 1u) << "no corruption changed the answer";
 }
 
 // ----- clean runs --------------------------------------------------------
@@ -270,7 +341,7 @@ TEST(Selfcheck, HotSmcRewritersNeverDiverge)
             sentinel::Config cfg;
             cfg.selfcheck_rate = 1;
             sentinel::Sentinel sent(cfg);
-            core::Options opts = baseOpts(threads, threads > 0);
+            core::Options opts = baseOpts(threads);
             opts.sentinel = &sent;
             harness::TranslatedRun run =
                 harness::runTranslated(w.image, w.params.abi, opts);
@@ -310,7 +381,7 @@ TEST(Selfcheck, LongChainedRegionsNeverDiverge)
         cfg.selfcheck_rate = 1;
         cfg.replay_budget = 1u << 14;
         sentinel::Sentinel sent(cfg);
-        core::Options opts = baseOpts(threads, threads > 0);
+        core::Options opts = baseOpts(threads);
         opts.sentinel = &sent;
         harness::TranslatedRun run =
             harness::runTranslated(w.image, w.params.abi, opts);
@@ -380,13 +451,13 @@ struct SentinelCounters
 };
 
 SentinelCounters
-countersFor(const Workload &w, unsigned threads, bool deterministic,
-            bool hot_phase = true, harness::Outcome *out = nullptr)
+countersFor(const Workload &w, unsigned threads, bool hot_phase = true,
+            harness::Outcome *out = nullptr)
 {
     sentinel::Config cfg;
     cfg.selfcheck_rate = 4;
     sentinel::Sentinel sent(cfg);
-    core::Options opts = baseOpts(threads, deterministic);
+    core::Options opts = baseOpts(threads);
     opts.enable_hot_phase = hot_phase;
     opts.sentinel = &sent;
     harness::TranslatedRun run =
@@ -405,12 +476,12 @@ countersFor(const Workload &w, unsigned threads, bool deterministic,
 
 TEST(SelfcheckDeterminism, RepeatRunsAreBitIdentical)
 {
-    // Same image, same config (4 workers, deterministic adoption): the
+    // Same image, same config (4 workers): the
     // sampling decisions are a pure function of the region counter, so
     // two runs agree on every sentinel counter and on cycles.
     Workload w = victim();
-    SentinelCounters a = countersFor(w, 4, true);
-    SentinelCounters b = countersFor(w, 4, true);
+    SentinelCounters a = countersFor(w, 4);
+    SentinelCounters b = countersFor(w, 4);
     EXPECT_TRUE(a == b);
     EXPECT_DOUBLE_EQ(a.cycles, b.cycles);
     EXPECT_GE(a.checked, 1u);
@@ -425,9 +496,9 @@ TEST(SelfcheckDeterminism, CountersBitIdenticalAcrossThreadCounts)
     // then has no effect on the region stream at all), every sentinel
     // counter is bit-identical for 0, 1 and 4 workers.
     Workload w = victim();
-    SentinelCounters sync = countersFor(w, 0, false, false);
-    SentinelCounters one = countersFor(w, 1, true, false);
-    SentinelCounters four = countersFor(w, 4, true, false);
+    SentinelCounters sync = countersFor(w, 0, false);
+    SentinelCounters one = countersFor(w, 1, false);
+    SentinelCounters four = countersFor(w, 4, false);
     EXPECT_TRUE(sync == one && one == four)
         << "regions " << sync.regions << "/" << one.regions << "/"
         << four.regions << " checked " << sync.checked << "/"
@@ -448,12 +519,12 @@ TEST(SelfcheckDeterminism, ArchInvarianceSurvivesAttachment)
     // and each thread count remains individually replayable.
     Workload w = victim();
     harness::Outcome ref;
-    SentinelCounters sync = countersFor(w, 0, false, true, &ref);
+    SentinelCounters sync = countersFor(w, 0, true, &ref);
     EXPECT_EQ(sync.divergences, 0u);
     for (unsigned threads : {1u, 4u}) {
         harness::Outcome got;
-        SentinelCounters a = countersFor(w, threads, true, true, &got);
-        SentinelCounters b = countersFor(w, threads, true, true);
+        SentinelCounters a = countersFor(w, threads, true, &got);
+        SentinelCounters b = countersFor(w, threads);
         EXPECT_TRUE(a == b) << threads << " workers not replayable";
         EXPECT_DOUBLE_EQ(a.cycles, b.cycles) << threads << " workers";
         EXPECT_EQ(a.divergences, 0u) << threads << " workers";

@@ -35,7 +35,6 @@ traceOpts(unsigned threads, bool trace = true)
     o.heat_threshold = 16;
     o.hot_batch = 1;
     o.translation_threads = threads;
-    o.deterministic_adoption = threads > 0;
     o.trace = trace;
     return o;
 }
@@ -120,8 +119,9 @@ TEST(Trace, ColdTranslateSetStableAcrossThreadCounts)
         } else if (threads == 1) {
             async_ref = cold;
         } else {
-            // Deterministic adoption makes the async timeline (and so
-            // the cold-translation set) identical across worker counts.
+            // Adoption on the simulated worker timeline makes the async
+            // timeline (and so the cold-translation set) identical
+            // across worker counts.
             EXPECT_EQ(async_ref, cold) << "threads " << threads;
         }
         if (threads > 0) {
